@@ -345,12 +345,12 @@ class ASCurve:
         # diagonal is 1 and sigma - 1 is the same matrix with diagonal zeroed
         nilp = mat.copy()
         np.fill_diagonal(nilp, 0)
-        ranks = [dim]
+        # ranks of (sigma - 1)^l for l = 0 .. p; the p-th power is the last
+        ranks = [dim, self.field.rank(nilp)]
         power = nilp
-        for _ in range(self.p):
-            ranks.append(self.field.rank(power))
+        for _ in range(self.p - 1):
             power = self.field.matmul(power, nilp)
-        ranks = ranks[: self.p + 1]
+            ranks.append(self.field.rank(power))
         ext = ranks + [0]
         mult = tuple(
             ext[l - 1] - 2 * ext[l] + ext[l + 1] for l in range(1, self.p + 1)

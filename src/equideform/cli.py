@@ -533,6 +533,17 @@ class _Parser(argparse.ArgumentParser):
         raise ValidationError(message)
 
 
+def _positive_int(text):
+    """argparse type for degrees, counts and precisions: an integer >= 1."""
+    try:
+        value = int(text)
+    except ValueError:
+        value = 0
+    if value < 1:
+        raise argparse.ArgumentTypeError("expected an integer >= 1, got %r" % text)
+    return value
+
+
 def _build_parser():
     parser = _Parser(
         prog="equideform",
@@ -561,8 +572,8 @@ def _build_parser():
 
     sp = sub.add_parser("homology", help="punctual-section homology, complex vs closed form")
     sp.add_argument("--p", type=int, required=True)
-    sp.add_argument("--s", type=int, required=True, help="number of group generators")
-    sp.add_argument("--m", type=int, default=None, help="field degree (default s)")
+    sp.add_argument("--s", type=_positive_int, required=True, help="number of group generators")
+    sp.add_argument("--m", type=_positive_int, default=None, help="field degree (default s)")
     sp.add_argument("--alpha", help="comma list of field codes, length s")
     sp.add_argument("--beta", help="comma list of field codes, length s")
     sp.add_argument("--random", action="store_true", help="sample alpha/beta (needs --seed)")
@@ -573,11 +584,11 @@ def _build_parser():
     sp = sub.add_parser("local", help="series-level tools")
     sp.add_argument("what", choices=("normalize", "jump", "tower", "weierstrass"))
     sp.add_argument("--p", type=int, required=True)
-    sp.add_argument("--m", type=int, default=1, help="residue field degree")
+    sp.add_argument("--m", type=_positive_int, default=1, help="residue field degree")
     sp.add_argument("--series", help="exponent:coefficient pairs, comma separated")
-    sp.add_argument("--prec", type=int, default=24)
+    sp.add_argument("--prec", type=_positive_int, default=24)
     sp.add_argument("--c", type=int, default=1, help="translation used to measure the jump")
-    sp.add_argument("--rank", type=int, default=1, help="tower rank n")
+    sp.add_argument("--rank", type=_positive_int, default=1, help="tower rank n")
     sp.add_argument("--constants", help="tower constants as field codes (needs --m)")
     sp.add_argument("--pole-numbers", dest="pole_numbers", help="comma list of integers")
     sp.add_argument("--bound", type=int, default=None)

@@ -16,7 +16,9 @@ degrees here are tiny).  ``pth_root`` inverts Frobenius via
 
 Matrix utilities (:func:`matrix_rank`, and the code-level ``rank``/
 ``matmul`` methods used by the heavier modules) run on integer code
-matrices through :mod:`equideform.kernels`.
+matrices through :mod:`equideform.kernels`.  Those kernels take q x q
+lookup tables, which are built on first use and only for q <= 1021; series
+arithmetic works on base-p digits and needs none.
 """
 
 import functools
@@ -25,7 +27,7 @@ import itertools
 import numpy as np
 
 from . import kernels
-from .errors import NotPrimeError
+from .errors import NotPrimeError, ValidationError
 
 __all__ = ["FiniteField", "FFElem", "make_field", "pth_root", "matrix_rank"]
 
@@ -147,6 +149,13 @@ def _lowest_modulus(p, m):
             return tuple(f)
 
 
+# Largest field order for which lookup tables are built.  A build holds
+# q*q*(2m-1) int64; measured peak RSS of a process building one (numpy 2.4,
+# x86-64): GF(1021) 62 MB, GF(3^6) 132 MB, GF(2^10) 359 MB.  Every q up to
+# 1021 stays under 256 MB, and 1024 = 2^10 is the next field order.
+_TABLES_MAX_Q = 1021
+
+
 class FiniteField:
     """The field GF(p^m) with a fixed lowest irreducible modulus.
 
@@ -222,8 +231,35 @@ class FiniteField:
     def tables(self):
         """(add, mul, neg, inv) lookup tables on element codes."""
         if self._tables is None:
+            if self.q > _TABLES_MAX_Q:
+                raise ValidationError(
+                    "%r has %d elements; lookup tables stop at q = %d"
+                    % (self, self.q, _TABLES_MAX_Q)
+                )
             self._tables = self._build_tables()
         return self._tables
+
+    @functools.cached_property
+    def reduction_rows(self):
+        """Digits of x^k mod the modulus for k = m .. 2m-2, shape (m-1, m)."""
+        p, m = self.p, self.m
+        red = np.zeros((m - 1, m), dtype=np.int64)
+        row = [(-c) % p for c in self.modulus[:-1]]  # x^m
+        for k in range(m - 1):
+            red[k] = row
+            carry = row[-1]
+            row = [0] + row[:-1]
+            if carry:
+                row = [
+                    (row[i] + carry * ((-self.modulus[i]) % p)) % p for i in range(m)
+                ]
+        return red
+
+    @functools.cached_property
+    def frobenius_rows(self):
+        """Digits of (x^k)^p for k < m: c -> c^p is digits @ rows mod p."""
+        x = self.gen()
+        return np.array([(x ** (k * self.p)).coeffs for k in range(self.m)], dtype=np.int64)
 
     def _build_tables(self):
         p, m, q = self.p, self.m, self.q
@@ -238,24 +274,13 @@ class FiniteField:
         add = ((digits[:, None, :] + digits[None, :, :]) % p) @ pvec
         neg = ((-digits) % p) @ pvec
 
-        # reduction rows: digits of x^k mod modulus for k = m .. 2m-2
-        red = np.zeros((max(m - 1, 0), m), dtype=np.int64)
-        row = [(-c) % p for c in self.modulus[:-1]]  # x^m
-        for k in range(m - 1):
-            red[k] = row
-            carry = row[-1]
-            row = [0] + row[:-1]
-            if carry:
-                row = [
-                    (row[i] + carry * ((-self.modulus[i]) % p)) % p for i in range(m)
-                ]
         conv = np.zeros((q, q, 2 * m - 1), dtype=np.int64)
         for i in range(m):
             for j in range(m):
                 conv[:, :, i + j] += digits[:, None, i] * digits[None, :, j]
         low = conv[:, :, :m]
         if m > 1:
-            low = low + conv[:, :, m:] @ red
+            low = low + conv[:, :, m:] @ self.reduction_rows
         mul = (low % p) @ pvec
 
         inv = np.zeros(q, dtype=np.int64)

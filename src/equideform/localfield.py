@@ -28,6 +28,7 @@ y^p - y = x(s):
 
 import itertools
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -66,55 +67,93 @@ __all__ = [
 ]
 
 
-# windows larger than this use table-driven numpy convolution;
-# fields larger than this stick to element arithmetic (q x q tables)
-_FAST_MIN_WORK = 256
-_FAST_MAX_Q = 1024
+def _box(field, row):
+    return FFElem(field, tuple(row.tolist()))
 
 
-def _code_vec(coeffs):
-    return np.array([c.code() for c in coeffs], dtype=np.int64)
+def _check_int64(field, terms):
+    """Raise rather than wrap when sums of terms * m digit products can reach 2^63."""
+    if terms * field.m * (field.p - 1) ** 2 >= 2**63:
+        raise ValidationError(
+            "digit sums of %d products over %r would overflow int64" % (terms, field)
+        )
 
 
-def _sum_codes(field, codes):
-    """Field sum of a vector of element codes, via digit-wise reduction."""
-    if codes.size == 0:
-        return 0
-    p = field.p
-    rem = codes
-    total = 0
-    scale = 1
-    for _ in range(field.m):
-        total += int((rem % p).sum() % p) * scale
-        rem = rem // p
-        scale *= p
-    return total
+def _product(field, a, b, n):
+    """First n coefficients of the product of two digit windows."""
+    p, m = field.p, field.m
+    a, b = a[:n], b[:n]
+    _check_int64(field, min(len(a), len(b)))
+    # Kronecker packing: coefficient i fills slots i*w .. i*w + m - 1, and
+    # x^u x^v with u + v <= 2m - 2 stays inside its block of w slots
+    w = 2 * m - 1
+    pa = np.zeros((len(a), w), dtype=np.int64)
+    pb = np.zeros((len(b), w), dtype=np.int64)
+    pa[:, :m] = a
+    pb[:, :m] = b
+    out = np.zeros(n * w, dtype=np.int64)
+    if len(a) and len(b):
+        conv = np.convolve(pa.ravel(), pb.ravel())[: n * w]
+        out[: len(conv)] = conv
+    out = out.reshape(n, w) % p
+    if m == 1:
+        return out
+    return (out[:, :m] + out[:, m:] @ field.reduction_rows) % p
+
+
+class _Coefficients(Sequence):
+    """The window of a series as a read-only sequence of field elements."""
+
+    def __init__(self, field, digits):
+        self._field, self._digits = field, digits
+
+    def __len__(self):
+        return len(self._digits)
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return tuple(self)[i]
+        return _box(self._field, self._digits[i])
+
+    def __eq__(self, other):
+        return isinstance(other, Sequence) and tuple(self) == tuple(other)
 
 
 class LaurentSeriesTrunc:
     """A Laurent series over a finite field, known modulo t^prec.
 
-    Stored as a dense coefficient window on [lo, prec); coefficients below
-    lo are exactly zero, the one at lo is nonzero (unless the series is
-    zero to the full window, in which case lo == prec and the window is
-    empty).  Instances are immutable.
+    Stored as a dense coefficient window on [lo, prec): ``digits`` is an
+    int64 array of shape (prec - lo, m) whose row i holds the base-p digits
+    of the coefficient of t^(lo + i).  ``coeffs`` may be given as field
+    elements or ints, or as such a digit array (used as is, not checked).
+    Coefficients below lo are exactly zero, the one at lo is nonzero
+    (unless the series is zero to the full window, in which case
+    lo == prec and the window is empty).  Instances are immutable.
     """
 
-    __slots__ = ("field", "lo", "coeffs", "prec")
+    __slots__ = ("field", "lo", "digits", "prec")
 
     def __init__(self, field, lo, coeffs, prec):
-        coeffs = [field(c) for c in coeffs]
-        if len(coeffs) != prec - lo:
+        if isinstance(coeffs, np.ndarray) and coeffs.ndim == 2:
+            digits = coeffs
+        else:
+            digits = np.array(
+                [field(c).coeffs for c in coeffs], dtype=np.int64
+            ).reshape(-1, field.m)
+        if len(digits) != prec - lo:
             raise ValidationError(
                 "coefficient list of length %d does not fill the window [%d, %d)"
-                % (len(coeffs), lo, prec)
+                % (len(digits), lo, prec)
             )
         lead = 0
-        while lead < len(coeffs) and coeffs[lead] == field.zero:
-            lead += 1
+        if len(digits) and not digits[0].any():
+            nonzero = np.flatnonzero(digits.any(axis=1))
+            lead = int(nonzero[0]) if nonzero.size else len(digits)
+        digits = digits[lead:]  # a view, so the caller's array stays writable
+        digits.flags.writeable = False
         object.__setattr__(self, "field", field)
         object.__setattr__(self, "lo", lo + lead)
-        object.__setattr__(self, "coeffs", tuple(coeffs[lead:]))
+        object.__setattr__(self, "digits", digits)
         object.__setattr__(self, "prec", prec)
 
     def __setattr__(self, name, value):
@@ -123,9 +162,14 @@ class LaurentSeriesTrunc:
     # -- inspection ----------------------------------------------------------
 
     @property
+    def coeffs(self):
+        """The window [lo, prec) as a sequence of field elements."""
+        return _Coefficients(self.field, self.digits)
+
+    @property
     def is_zero(self):
         """True when every known coefficient vanishes (zero mod t^prec)."""
-        return not self.coeffs
+        return not len(self.digits)
 
     @property
     def val(self):
@@ -149,13 +193,19 @@ class LaurentSeriesTrunc:
             )
         if k < self.lo:
             return self.field.zero
-        return self.coeffs[k - self.lo]
+        return _box(self.field, self.digits[k - self.lo])
 
     def terms(self):
         """Iterate (exponent, coefficient) over nonzero known terms."""
-        for i, c in enumerate(self.coeffs):
-            if c != self.field.zero:
-                yield self.lo + i, c
+        for i in np.flatnonzero(self.digits.any(axis=1)):
+            yield self.lo + int(i), _box(self.field, self.digits[i])
+
+    def _window(self, lo, prec):
+        """A fresh digit array for [lo, prec), where lo <= self.lo."""
+        out = np.zeros((prec - lo, self.field.m), dtype=np.int64)
+        if self.lo < prec:
+            out[self.lo - lo :] = self.digits[: prec - self.lo]
+        return out
 
     # -- ring operations -----------------------------------------------------
 
@@ -167,113 +217,66 @@ class LaurentSeriesTrunc:
     def __add__(self, other):
         c = self._scalar(other)
         if c is not None:
-            if c == self.field.zero:
+            # a constant outside the window is lost in O(t^prec)
+            if c == self.field.zero or self.prec <= 0:
                 return self
-            lo = min(self.lo, 0, self.prec)
-            vals = [self.coeff(k) for k in range(lo, self.prec)]
-            if 0 >= lo and 0 < self.prec:
-                vals[-lo] = vals[-lo] + c
-            return LaurentSeriesTrunc(self.field, lo, vals, self.prec)
+            other = _monomial(self.field, c, 0, self.prec)
         if not isinstance(other, LaurentSeriesTrunc):
             return NotImplemented
         prec = min(self.prec, other.prec)
         lo = min(self.lo, other.lo, prec)
-        vals = [self.coeff(k) + other.coeff(k) for k in range(lo, prec)]
-        return LaurentSeriesTrunc(self.field, lo, vals, prec)
+        out = (self._window(lo, prec) + other._window(lo, prec)) % self.field.p
+        return LaurentSeriesTrunc(self.field, lo, out, prec)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return LaurentSeriesTrunc(
-            self.field, self.lo, [-c for c in self.coeffs], self.prec
-        )
+        out = -self.digits % self.field.p
+        return LaurentSeriesTrunc(self.field, self.lo, out, self.prec)
 
     def __sub__(self, other):
-        if isinstance(other, LaurentSeriesTrunc):
+        if isinstance(other, (int, FFElem, LaurentSeriesTrunc)):
             return self + (-other)
-        c = self._scalar(other)
-        if c is None:
-            return NotImplemented
-        return self + (-c)
+        return NotImplemented
 
     def __rsub__(self, other):
         return (-self) + other
 
     def __mul__(self, other):
+        field = self.field
         c = self._scalar(other)
         if c is not None:
-            if c == self.field.zero:
-                return LaurentSeriesTrunc(self.field, self.prec, [], self.prec)
-            return LaurentSeriesTrunc(
-                self.field, self.lo, [c * x for x in self.coeffs], self.prec
-            )
+            row = np.array([c.coeffs], dtype=np.int64)
+            out = _product(field, self.digits, row, len(self.digits))
+            return LaurentSeriesTrunc(field, self.lo, out, self.prec)
         if not isinstance(other, LaurentSeriesTrunc):
             return NotImplemented
-        field = self.field
         prec = min(self.lo + other.prec, other.lo + self.prec)
         lo = self.lo + other.lo
-        n_out = prec - lo
-        if (
-            len(self.coeffs) * len(other.coeffs) > _FAST_MIN_WORK
-            and field.q <= _FAST_MAX_Q
-        ):
-            add_t, mul_t, _, _ = field.tables()
-            a = _code_vec(self.coeffs)
-            b = _code_vec(other.coeffs)
-            acc = np.zeros(n_out, dtype=np.int64)
-            for i in range(min(len(a), n_out)):
-                if a[i] == 0:
-                    continue
-                seg = min(len(b), n_out - i)
-                acc[i : i + seg] = add_t[acc[i : i + seg], mul_t[a[i], b[:seg]]]
-            vals = [field.from_code(int(c)) for c in acc]
-            return LaurentSeriesTrunc(field, lo, vals, prec)
-        acc = [field.zero] * n_out
-        for i, a in enumerate(self.coeffs):
-            if a == field.zero:
-                continue
-            for j, b in enumerate(other.coeffs):
-                k = i + j
-                if k >= n_out:
-                    break
-                acc[k] = acc[k] + a * b
-        return LaurentSeriesTrunc(field, lo, acc, prec)
+        out = _product(field, self.digits, other.digits, prec - lo)
+        return LaurentSeriesTrunc(field, lo, out, prec)
 
     __rmul__ = __mul__
 
     def inverse(self):
-        """Multiplicative inverse, preserving relative precision."""
+        """Multiplicative inverse, preserving relative precision.
+
+        Newton iteration b <- b (2 - a b) doubles the number of correct
+        coefficients per step: when a b = 1 + t^k e, the next k
+        coefficients of b are those of -b e.
+        """
         if self.is_zero:
             raise PrecisionExhaustedError(
                 "cannot invert a series that is 0 mod t^%d" % self.prec
             )
         field = self.field
-        rel = self.prec - self.lo
-        a0 = self.coeffs[0].inverse()
-        if rel * rel > _FAST_MIN_WORK and field.q <= _FAST_MAX_Q:
-            _, mul_t, neg_t, _ = field.tables()
-            a = _code_vec(self.coeffs)
-            na0 = neg_t[a0.code()]
-            out = np.zeros(rel, dtype=np.int64)
-            out[0] = a0.code()
-            for k in range(1, rel):
-                top = min(k, len(a) - 1)
-                stop = k - top - 1
-                conv = mul_t[
-                    a[1 : top + 1], out[k - 1 : (stop if stop >= 0 else None) : -1]
-                ]
-                out[k] = mul_t[na0, _sum_codes(field, conv)]
-            vals = [field.from_code(int(c)) for c in out]
-            return LaurentSeriesTrunc(field, -self.lo, vals, -self.lo + rel)
-        out = [field.zero] * rel
-        out[0] = a0
-        for k in range(1, rel):
-            acc = field.zero
-            for i in range(1, k + 1):
-                if i < len(self.coeffs):
-                    acc = acc + self.coeffs[i] * out[k - i]
-            out[k] = -a0 * acc
-        return LaurentSeriesTrunc(field, -self.lo, out, -self.lo + rel)
+        a = self.digits
+        b = np.array([_box(field, a[0]).inverse().coeffs], dtype=np.int64)
+        while len(b) < len(a):
+            k = len(b)
+            e = _product(field, a, b, min(2 * k, len(a)))[k:]
+            b = np.concatenate([b, -_product(field, b, e, len(e)) % field.p])
+        return LaurentSeriesTrunc(field, -self.lo, b, -self.lo + len(a))
 
     def __truediv__(self, other):
         if isinstance(other, LaurentSeriesTrunc):
@@ -299,11 +302,7 @@ class LaurentSeriesTrunc:
                 raise PrecisionExhaustedError(
                     "0-th power of a series that is 0 mod t^%d" % self.prec
                 )
-            return LaurentSeriesTrunc(
-                self.field, 0, [self.field.one]
-                + [self.field.zero] * (self.prec - self.lo - 1),
-                self.prec - self.lo,
-            )
+            return _monomial(self.field, self.field.one, 0, self.prec - self.lo)
         out = None
         base = self
         while e:
@@ -316,31 +315,31 @@ class LaurentSeriesTrunc:
 
     def pth_power(self):
         """Frobenius: exact coefficient-wise p-th power, t^i -> t^(pi)."""
-        p = self.field.p
-        lo = p * self.lo
-        prec = p * self.prec
-        vals = [self.field.zero] * (prec - lo)
-        for i, c in enumerate(self.coeffs):
-            vals[p * i] = c ** p
-        return LaurentSeriesTrunc(self.field, lo, vals, prec)
+        field = self.field
+        p = field.p
+        _check_int64(field, 1)
+        out = np.zeros((p * len(self.digits), field.m), dtype=np.int64)
+        # Frobenius fixes GF(p); on GF(p^m) it is F_p-linear on the digits
+        out[::p] = self.digits @ field.frobenius_rows % p
+        return LaurentSeriesTrunc(field, p * self.lo, out, p * self.prec)
 
     def derivative(self):
         """Formal d/dt; exponents divisible by p drop out."""
-        vals = [self.field(self.lo + i) * c for i, c in enumerate(self.coeffs)]
-        return LaurentSeriesTrunc(self.field, self.lo - 1, vals, self.prec - 1)
+        _check_int64(self.field, 1)
+        exps = np.arange(self.lo, self.prec, dtype=np.int64)[:, None]
+        out = self.digits * (exps % self.field.p) % self.field.p
+        return LaurentSeriesTrunc(self.field, self.lo - 1, out, self.prec - 1)
 
     def shift(self, k):
         """Multiply by t^k (exact)."""
-        return LaurentSeriesTrunc(self.field, self.lo + k, self.coeffs, self.prec + k)
+        return LaurentSeriesTrunc(self.field, self.lo + k, self.digits, self.prec + k)
 
     def truncate(self, prec):
         """Forget coefficients at or beyond prec; never extends."""
         if prec >= self.prec:
             return self
         lo = min(self.lo, prec)
-        return LaurentSeriesTrunc(
-            self.field, lo, [self.coeff(k) for k in range(lo, prec)], prec
-        )
+        return LaurentSeriesTrunc(self.field, lo, self._window(lo, prec), prec)
 
     def agrees_with(self, other):
         """True when self - other vanishes on the shared window."""
@@ -354,12 +353,12 @@ class LaurentSeriesTrunc:
         return (
             self.field is other.field
             and self.lo == other.lo
-            and self.coeffs == other.coeffs
             and self.prec == other.prec
+            and np.array_equal(self.digits, other.digits)
         )
 
     def __hash__(self):
-        return hash((id(self.field), self.lo, self.coeffs, self.prec))
+        return hash((id(self.field), self.lo, self.digits.tobytes(), self.prec))
 
     def __repr__(self):
         parts = []
@@ -378,10 +377,7 @@ class LaurentSeriesTrunc:
 
 def series(field, terms, prec):
     """Build a series from {exponent: coefficient} (or pairs), mod t^prec."""
-    if isinstance(terms, dict):
-        items = terms.items()
-    else:
-        items = list(terms)
+    items = terms.items() if isinstance(terms, dict) else terms
     coeffs = {}
     for e, c in items:
         e = int(e)
@@ -395,16 +391,16 @@ def series(field, terms, prec):
                 "term t^%d lies beyond the precision window O(t^%d)" % (e, prec)
             )
         coeffs[e] = c
-    if not coeffs:
-        return LaurentSeriesTrunc(field, prec, [], prec)
-    lo = min(coeffs)
-    vals = [coeffs.get(k, field.zero) for k in range(lo, prec)]
-    return LaurentSeriesTrunc(field, lo, vals, prec)
+    lo = min(coeffs, default=prec)
+    out = np.zeros((prec - lo, field.m), dtype=np.int64)
+    for e, c in coeffs.items():
+        out[e - lo] = c.coeffs
+    return LaurentSeriesTrunc(field, lo, out, prec)
 
 
 def zero_series(field, prec):
     """The zero series mod t^prec."""
-    return LaurentSeriesTrunc(field, prec, [], prec)
+    return LaurentSeriesTrunc(field, prec, np.zeros((0, field.m), dtype=np.int64), prec)
 
 
 def _monomial(field, c, e, prec):

@@ -198,6 +198,25 @@ def test_decompose_free_for_augmented_weakly_member():
     assert dec.tot == 3
 
 
+def test_decompose_takes_p_minus_one_products(monkeypatch):
+    from equideform import kernels
+
+    calls = []
+    matmul = kernels.matmul
+
+    def counting(*args):
+        calls.append(1)
+        return matmul(*args)
+
+    monkeypatch.setattr(kernels, "matmul", counting)
+    for p, f in ((2, "x^5"), (5, "x^3"), (7, "x^-9")):
+        curve = ASCurve(p, f)
+        calls.clear()
+        dec = curve.decompose(curve.two_k_plus())
+        assert len(calls) == p - 1
+        assert len(dec.ranks) == p + 1 and dec.ranks[-1] == 0
+
+
 def test_decompose_needs_genus_two():
     small = ASCurve(2, "x + x^-1")  # genus 1
     with pytest.raises(GenusTooSmallError):

@@ -2,6 +2,7 @@
 
 import io
 import json
+import time
 
 import jsonschema
 import pytest
@@ -214,6 +215,42 @@ def test_local_tower_explicit_constants_need_field(capsys):
     )
     assert status == 1
     assert "--m >= --rank" in report["message"]
+
+
+def assert_bad_flag(capsys, flag, *argv):
+    status, report = run_json(capsys, *argv)
+    assert status == 1
+    jsonschema.validate(report, REPORT_SCHEMAS["error"])
+    assert report["error"] == "ValidationError"
+    assert flag in report["message"]
+
+
+def test_field_degree_must_be_positive(capsys):
+    assert_bad_flag(capsys, "--m", "local", "jump", "--p", "5", "--series=-3:1", "--m", "0")
+
+
+def test_generator_count_must_be_positive(capsys):
+    assert_bad_flag(capsys, "--s", "homology", "--p", "5", "--s", "0", "--random",
+                    "--seed", "1")
+
+
+def test_tower_rank_must_be_positive(capsys):
+    assert_bad_flag(capsys, "--rank", "local", "tower", "--p", "2", "--rank", "0")
+
+
+def test_precision_must_be_positive(capsys):
+    assert_bad_flag(capsys, "--prec", "local", "jump", "--p", "5", "--series=-3:1",
+                    "--prec", "-5")
+
+
+def test_field_too_large_for_tables_fails_fast(capsys):
+    start = time.perf_counter()
+    status, report = run_json(capsys, "homology", "--p", "2", "--s", "12", "--random",
+                              "--seed", "1")
+    assert time.perf_counter() - start < 1.0
+    assert status == 1
+    jsonschema.validate(report, REPORT_SCHEMAS["error"])
+    assert "GF(2^12)" in report["message"]
 
 
 def test_local_weierstrass(capsys):

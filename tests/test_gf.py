@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from equideform.errors import NotPrimeError
+from equideform.errors import NotPrimeError, ValidationError
 from equideform.gf import FFElem, make_field, matrix_rank, pth_root
 from equideform import kernels
 
@@ -190,6 +190,24 @@ def test_kernel_paths_agree():
         assert kernels.rank_py(a.copy(), add, mul, neg, inv) == int(
             kernels.rank_jit(a.copy(), add, mul, neg, inv)
         )
+
+
+def test_tables_stop_at_the_ceiling():
+    with pytest.raises(ValidationError, match="1021"):
+        make_field(2, 10).tables()
+
+
+def test_digit_rows_match_element_arithmetic():
+    rng = random.Random(3)
+    for p, m in ((2, 3), (3, 2), (2, 8), (5, 3)):
+        f = make_field(p, m)
+        x = f.gen()
+        for k in range(m - 1):
+            assert tuple(f.reduction_rows[k]) == (x ** (m + k)).coeffs
+        for _ in range(10):
+            c = f.sample(rng)
+            frob = np.array(c.coeffs) @ f.frobenius_rows % p
+            assert tuple(frob) == (c ** p).coeffs
 
 
 def test_repr_forms():

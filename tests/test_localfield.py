@@ -357,3 +357,131 @@ def test_weierstrass_check_outcomes():
         weierstrass_check([0, 2, 4], bound=8)
     with pytest.raises(ValidationError):
         weierstrass_check([-1, 5], bound=8)
+
+
+# -- differential check of the digit-array arithmetic --------------------------
+#
+# A reference series is (lo, prec, [FFElem, ...]) with the window rules of
+# LaurentSeriesTrunc; its arithmetic runs element by element in FFElem.
+
+
+def ref_of(field, lo, vals, prec):
+    vals = list(vals)
+    while vals and vals[0] == field.zero:
+        vals.pop(0)
+        lo += 1
+    return lo, prec, vals
+
+
+def ref_coeff(field, x, k):
+    lo, prec, vals = x
+    assert k < prec
+    return vals[k - lo] if k >= lo else field.zero
+
+
+def ref_mul(field, x, y):
+    prec = min(x[0] + y[1], y[0] + x[1])
+    lo = x[0] + y[0]
+    acc = [field.zero] * (prec - lo)
+    for i, a in enumerate(x[2]):
+        for j, b in enumerate(y[2]):
+            if i + j < len(acc):
+                acc[i + j] = acc[i + j] + a * b
+    return ref_of(field, lo, acc, prec)
+
+
+def ref_add_scalar(field, x, c):
+    lo = min(x[0], 0, x[1])
+    vals = [ref_coeff(field, x, k) for k in range(lo, x[1])]
+    if lo <= 0 < x[1]:
+        vals[-lo] = vals[-lo] + c
+    return ref_of(field, lo, vals, x[1])
+
+
+def ref_inverse(field, x):
+    lo, prec, vals = x
+    out = [vals[0].inverse()]
+    for k in range(1, prec - lo):
+        acc = field.zero
+        for i in range(1, min(k, len(vals) - 1) + 1):
+            acc = acc + vals[i] * out[k - i]
+        out.append(-out[0] * acc)
+    return ref_of(field, -lo, out, -lo + prec - lo)
+
+
+def ref_pow(field, x, e):
+    if e < 0:
+        x, e = ref_inverse(field, x), -e
+    out = x
+    for _ in range(e - 1):
+        out = ref_mul(field, out, x)
+    return out
+
+
+def ref_compose(field, x, s):
+    w = s[0]
+    span = (s[1] - s[0]) + w * (x[1] - x[0]) + 8
+    acc = ref_of(field, 0, [ref_coeff(field, x, x[1] - 1)] + [field.zero] * (span - 1), span)
+    for k in range(x[1] - 2, x[0] - 1, -1):
+        acc = ref_add_scalar(field, ref_mul(field, acc, s), ref_coeff(field, x, k))
+    if x[0] != 0:
+        acc = ref_mul(field, acc, ref_pow(field, s, x[0]))
+    cap = min(acc[1], w * x[1])
+    lo = min(acc[0], cap)
+    return ref_of(field, lo, [ref_coeff(field, acc, k) for k in range(lo, cap)], cap)
+
+
+def random_series(field, rng, lo_range, max_len):
+    lo = rng.randrange(*lo_range)
+    vals = [field.sample(rng) for _ in range(rng.randrange(1, max_len + 1))]
+    while vals[0] == field.zero:
+        vals[0] = field.sample(rng)
+    return LaurentSeriesTrunc(field, lo, vals, lo + len(vals)), (lo, lo + len(vals), vals)
+
+
+def same(got, want):
+    assert (got.lo, got.prec, list(got.coeffs)) == want
+
+
+@pytest.mark.parametrize("p, m, max_len", [
+    (2, 1, 24), (5, 1, 24), (13, 1, 24), (3, 2, 16), (2, 8, 12), (2, 11, 8),
+])
+def test_digit_arithmetic_matches_element_reference(p, m, max_len):
+    field = make_field(p, m)
+    rng = random.Random(1000 * p + m)
+    for _ in range(8):
+        (a, ra), (b, rb) = (random_series(field, rng, (-4, 3), max_len) for _ in "ab")
+        same(a * b, ref_mul(field, ra, rb))
+        same(a.inverse(), ref_inverse(field, ra))
+        same(a.pth_power(), ref_of(field, p * ra[0], [
+            ra[2][i // p] ** p if i % p == 0 else field.zero
+            for i in range(p * len(ra[2]))], p * ra[1]))
+        same(a.derivative(), ref_of(field, ra[0] - 1, [
+            field(ra[0] + i) * c for i, c in enumerate(ra[2])], ra[1] - 1))
+        c = field.sample(rng)
+        same(c * a, ref_of(field, ra[0], [c * v for v in ra[2]], ra[1]))
+        x, rx = random_series(field, rng, (-2, 2), 4)
+        s, rs = random_series(field, rng, (1, 3), 6)
+        same(compose(x, s), ref_compose(field, rx, rs))
+
+
+def test_digit_products_never_wrap():
+    # p = 2^31 - 1: two products of digits fit in int64, three could overflow
+    field = make_field(2**31 - 1)
+    rng = random.Random(7)
+    a, ra = random_series(field, rng, (0, 1), 1)
+    vals = [field(-1), field(-2)]
+    b = LaurentSeriesTrunc(field, 0, vals, 2)
+    same(b * b, ref_mul(field, (0, 2, vals), (0, 2, vals)))
+    same(a * b, ref_mul(field, ra, (0, 2, vals)))
+    c = LaurentSeriesTrunc(field, 0, vals + [field(-3)], 3)
+    with pytest.raises(ValidationError):
+        c * c
+    # Newton's products for an inverse of length 3 sum at most two terms
+    same(c.inverse(), ref_inverse(field, (0, 3, vals + [field(-3)])))
+    # p = 2^32 + 15: a single product of digits can overflow
+    big = make_field(2**32 + 15)
+    x = series(big, {-1: -1, 0: 1}, 3)
+    for op in (lambda: x * x, x.derivative, x.pth_power):
+        with pytest.raises(ValidationError):
+            op()
