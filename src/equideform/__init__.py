@@ -21,14 +21,11 @@ same numbers from first principles:
   monomial Riemann-Roch bases and Jordan decompositions, the
   ground-truth oracle for everything above;
 * :mod:`equideform.cli` -- the ``equideform`` command.
-
-Set ``EQUIDEFORM_NO_NUMBA=1`` to force the pure-numpy kernel fallbacks.
 """
 
 from .ascurve import ASCurve, JordanDecomposition, parse_laurent
 from .cover import BranchOrbit, CoverData
 from .divisors import (
-    ModuleDecomposition,
     OrbitDivisor,
     QuotientDivisor,
     floor_pushforward_closed,
@@ -67,7 +64,6 @@ from .localfield import (
     Tower,
     as_normalize,
     build_extension,
-    build_tower,
     compose,
     default_tower,
     extract_alpha_beta,
@@ -94,7 +90,6 @@ __all__ = [
     "JordanDecomposition",
     "JumpData",
     "LaurentSeriesTrunc",
-    "ModuleDecomposition",
     "OrbitDivisor",
     "PreconditionError",
     "QuotientDivisor",
@@ -105,7 +100,6 @@ __all__ = [
     "as_normalize",
     "build_complex",
     "build_extension",
-    "build_tower",
     "closed_form",
     "compose",
     "default_tower",

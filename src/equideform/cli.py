@@ -37,9 +37,9 @@ from .errors import (
 from .gf import make_field
 from .homology import AlphaBeta, closed_form, homology_dims, random_alpha_beta
 from .localfield import (
+    Tower,
     as_normalize,
     build_extension,
-    build_tower,
     default_tower,
     measure_jump,
     series,
@@ -386,7 +386,7 @@ def _cmd_local(args):
         if args.constants is not None:
             tower_field = make_field(args.p, args.m)
             constants = _parse_codes(tower_field, args.constants, "constants")
-            tower = build_tower(tower_field, args.rank, constants, prec=args.prec)
+            tower = Tower(tower_field, args.rank, constants, prec=args.prec)
         else:
             tower = default_tower(args.p, args.rank, prec=args.prec)
         pairs = tower.alpha_beta_pairs()

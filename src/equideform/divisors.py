@@ -19,14 +19,11 @@ summands of H^0(X, O_X(D)) for cyclic G once deg(D) > 2g_X - 2:
     Tot = 1 - g_Y + deg_Y(floor pushforward of D).
 """
 
-from dataclasses import dataclass
-
 from .errors import DegreeTooSmallError, NotCyclicError, ValidationError
 
 __all__ = [
     "OrbitDivisor",
     "QuotientDivisor",
-    "ModuleDecomposition",
     "floor_pushforward_closed",
     "floor_pushforward_iterated",
     "tot_riemann_roch",
@@ -209,43 +206,3 @@ def tot_riemann_roch(divisor):
             "deg(D) = %d but the count needs deg(D) > 2g_X - 2 = %d" % (deg, bound)
         )
     return 1 - c.g_y + floor_pushforward_closed(divisor).degree_y()
-
-
-@dataclass(frozen=True)
-class ModuleDecomposition:
-    """Multiplicities of the p^nu indecomposables of a cyclic p-group module.
-
-    ``mult[l-1]`` is the number of summands of k-dimension l; ``tot`` the
-    number of summands; ``dim`` the k-dimension of the module.
-    """
-
-    p: int
-    nu: int
-    mult: tuple
-
-    def __post_init__(self):
-        mult = tuple(int(x) for x in self.mult)
-        object.__setattr__(self, "mult", mult)
-        if len(mult) != self.p**self.nu:
-            raise ValidationError(
-                "expected %d multiplicities, got %d" % (self.p**self.nu, len(mult))
-            )
-        if any(x < 0 for x in mult):
-            raise ValidationError("multiplicities must be nonnegative")
-
-    @property
-    def tot(self):
-        return sum(self.mult)
-
-    @property
-    def dim(self):
-        return sum(l * m for l, m in enumerate(self.mult, start=1))
-
-    def to_json(self):
-        return {
-            "p": self.p,
-            "nu": self.nu,
-            "mult": list(self.mult),
-            "tot": self.tot,
-            "dim": self.dim,
-        }

@@ -14,11 +14,11 @@ Irreducibility is certified by Rabin's test (no probabilism: the candidate
 degrees here are tiny).  ``pth_root`` inverts Frobenius via
 ``a^(p^(m-1))``, which is exact because the field is perfect.
 
-Matrix utilities (:func:`matrix_rank`, and the code-level ``rank``/
-``matmul`` methods used by the heavier modules) run on integer code
-matrices through :mod:`equideform.kernels`.  Those kernels take q x q
-lookup tables, which are built on first use and only for q <= 1021; series
-arithmetic works on base-p digits and needs none.
+The code-level ``rank``/``matmul`` methods used by the heavier modules
+run on integer code matrices through :mod:`equideform.kernels`.  Those
+kernels take q x q lookup tables, which are built on first use and only
+while they fit a fixed memory ceiling; series arithmetic works on base-p
+digits and needs none.
 """
 
 import functools
@@ -29,7 +29,7 @@ import numpy as np
 from . import kernels
 from .errors import NotPrimeError, ValidationError
 
-__all__ = ["FiniteField", "FFElem", "make_field", "pth_root", "matrix_rank"]
+__all__ = ["FiniteField", "FFElem", "make_field", "pth_root"]
 
 
 def _is_prime(n):
@@ -149,11 +149,18 @@ def _lowest_modulus(p, m):
             return tuple(f)
 
 
-# Largest field order for which lookup tables are built.  A build holds
-# q*q*(2m-1) int64; measured peak RSS of a process building one (numpy 2.4,
-# x86-64): GF(1021) 62 MB, GF(3^6) 132 MB, GF(2^10) 359 MB.  Every q up to
-# 1021 stays under 256 MB, and 1024 = 2^10 is the next field order.
-_TABLES_MAX_Q = 1021
+# Ceiling on the lookup tables, in bytes of _table_bytes(q, m).  A build
+# holds the add and mul tables and the (2m-1)-slot product convolution,
+# q*q*(2m+1) int64 in all; its temporaries take the measured peak to about
+# twice that.  Peak RSS growth of one build (numpy 2.4, x86-64): GF(1021)
+# 32 MB, GF(3^6) 102 MB, GF(37^2) 129 MB, GF(11^3) 176 MB, GF(1999) 122 MB,
+# GF(2^10) 329 MB and GF(47^2) 336 MB.  128 MiB admits every q <= 1021 and
+# the first five, keeps a build under about 260 MB, and refuses the last two.
+_TABLES_MAX_BYTES = 128 * 2**20
+
+
+def _table_bytes(q, m):
+    return 8 * q * q * (2 * m + 1)
 
 
 class FiniteField:
@@ -231,10 +238,11 @@ class FiniteField:
     def tables(self):
         """(add, mul, neg, inv) lookup tables on element codes."""
         if self._tables is None:
-            if self.q > _TABLES_MAX_Q:
+            need = _table_bytes(self.q, self.m)
+            if need > _TABLES_MAX_BYTES:
                 raise ValidationError(
-                    "%r has %d elements; lookup tables stop at q = %d"
-                    % (self, self.q, _TABLES_MAX_Q)
+                    "%r needs %d MiB of lookup tables; the ceiling is %d MiB"
+                    % (self, need >> 20, _TABLES_MAX_BYTES >> 20)
                 )
             self._tables = self._build_tables()
         return self._tables
@@ -468,28 +476,3 @@ def pth_root(a):
     """The unique b with b^p = a, via b = a^(p^(m-1)) (Frobenius inverse)."""
     f = a.field
     return a ** (f.p ** (f.m - 1))
-
-
-def matrix_rank(rows):
-    """Exact rank of a matrix given as a sequence of rows of FFElem.
-
-    The empty matrix (no rows, or rows of length zero) has rank 0.  All
-    entries must belong to one field.
-    """
-    rows = [list(r) for r in rows]
-    if not rows or not rows[0]:
-        return 0
-    width = len(rows[0])
-    field = None
-    for r in rows:
-        if len(r) != width:
-            raise ValueError("ragged matrix")
-        for x in r:
-            if not isinstance(x, FFElem):
-                raise TypeError("matrix entries must be FFElem, got %r" % (x,))
-            if field is None:
-                field = x.field
-            elif x.field is not field:
-                raise ValueError("matrix mixes elements of different fields")
-    codes = np.array([[x.code() for x in r] for r in rows], dtype=np.int64)
-    return field.rank(codes)

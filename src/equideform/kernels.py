@@ -10,79 +10,23 @@ built once per field by :mod:`equideform.gf`:
 * ``neg[i]``     -- code of the additive inverse,
 * ``inv[i]``     -- code of the multiplicative inverse (``inv[0] = 0``).
 
-Every kernel exists twice: an ``@njit`` build (``*_jit``) and a vectorised
-pure-numpy fallback (``*_py``).  The module-level names :func:`rank` and
-:func:`matmul` dispatch to the jit build when numba imported successfully
-and the environment flag ``EQUIDEFORM_NO_NUMBA`` is not ``"1"``.  Both
-builds are exact and deterministic; ``bench/bench_kernels.py`` compares
-their throughput.
+:func:`rank` and :func:`matmul` are vectorised numpy: each step works on a
+whole row or column through table lookups, and skips zero entries, which
+keeps the sparse matrices of the curve oracle cheap.  Both are exact and
+deterministic.
 
 Row reduction pivots on the first nonzero entry of each column, so the
 echelon walk itself is reproducible, and the resulting rank is of course
 independent of pivoting anyway.
 """
 
-import os
-
 import numpy as np
 
-_FLAG = "EQUIDEFORM_NO_NUMBA"
-
-try:
-    from numba import njit
-
-    HAS_NUMBA = True
-except ImportError:  # pragma: no cover - numba is a declared dependency
-    HAS_NUMBA = False
+__all__ = ["rank", "matmul"]
 
 
-def _rank_loops(a, add, mul, neg, inv):
-    rows, cols = a.shape
-    r = 0
-    for j in range(cols):
-        if r == rows:
-            break
-        piv = -1
-        for i in range(r, rows):
-            if a[i, j] != 0:
-                piv = i
-                break
-        if piv == -1:
-            continue
-        if piv != r:
-            for jj in range(cols):
-                tmp = a[r, jj]
-                a[r, jj] = a[piv, jj]
-                a[piv, jj] = tmp
-        pv = inv[a[r, j]]
-        if pv != 1:
-            for jj in range(j, cols):
-                a[r, jj] = mul[pv, a[r, jj]]
-        for i in range(r + 1, rows):
-            f = a[i, j]
-            if f != 0:
-                nf = neg[f]
-                for jj in range(j, cols):
-                    a[i, jj] = add[a[i, jj], mul[nf, a[r, jj]]]
-        r += 1
-    return r
-
-
-def _matmul_loops(a, b, add, mul):
-    n, k = a.shape
-    k2, m = b.shape
-    out = np.zeros((n, m), dtype=np.int64)
-    for i in range(n):
-        for t in range(k):
-            f = a[i, t]
-            if f != 0:
-                for j in range(m):
-                    out[i, j] = add[out[i, j], mul[f, b[t, j]]]
-    return out
-
-
-def rank_py(a, add, mul, neg, inv):
-    """Rank of ``a`` via vectorised Gaussian elimination (numpy path)."""
+def rank(a, add, mul, neg, inv):
+    """Rank of the code matrix ``a`` by Gaussian elimination; 0 when empty."""
     a = np.array(a, dtype=np.int64, copy=True)
     if a.size == 0:
         return 0
@@ -109,47 +53,17 @@ def rank_py(a, add, mul, neg, inv):
     return r
 
 
-def matmul_py(a, b, add, mul):
-    """Product of code matrices ``a @ b`` (numpy path)."""
+def matmul(a, b, add, mul):
+    """Product ``a @ b`` of two code matrices."""
     a = np.asarray(a, dtype=np.int64)
     b = np.asarray(b, dtype=np.int64)
+    if a.shape[1] != b.shape[0]:
+        raise ValueError("matrix shapes %s and %s do not chain" % (a.shape, b.shape))
     n, k = a.shape
-    _, m = b.shape
-    out = np.zeros((n, m), dtype=np.int64)
+    out = np.zeros((n, b.shape[1]), dtype=np.int64)
     for t in range(k):
         col = a[:, t]
         mask = col != 0
         if mask.any():
             out[mask] = add[out[mask], mul[col[mask][:, None], b[t][None, :]]]
     return out
-
-
-if HAS_NUMBA:
-    rank_jit = njit(cache=True)(_rank_loops)
-    matmul_jit = njit(cache=True)(_matmul_loops)
-else:  # pragma: no cover
-    rank_jit = None
-    matmul_jit = None
-
-USING_NUMBA = HAS_NUMBA and os.environ.get(_FLAG, "") != "1"
-
-
-def rank(a, add, mul, neg, inv):
-    """Rank of the code matrix ``a``; 0 for an empty matrix."""
-    a = np.array(a, dtype=np.int64, copy=True)
-    if a.size == 0:
-        return 0
-    if USING_NUMBA:
-        return int(rank_jit(a, add, mul, neg, inv))
-    return int(rank_py(a, add, mul, neg, inv))
-
-
-def matmul(a, b, add, mul):
-    """Product of two code matrices."""
-    a = np.asarray(a, dtype=np.int64)
-    b = np.asarray(b, dtype=np.int64)
-    if a.shape[1] != b.shape[0]:
-        raise ValueError("matrix shapes %s and %s do not chain" % (a.shape, b.shape))
-    if USING_NUMBA:
-        return matmul_jit(a, b, add, mul)
-    return matmul_py(a, b, add, mul)

@@ -60,7 +60,6 @@ __all__ = [
     "artin_schreier_root",
     "TowerElement",
     "Tower",
-    "build_tower",
     "default_tower",
     "SemigroupReport",
     "weierstrass_check",
@@ -837,11 +836,6 @@ class Tower:
                     "layer %d: S(g(t)) and g(S(t)) disagree" % i
                 )
         return True
-
-
-def build_tower(field, n, constants=(), prec=24):
-    """Assemble the rank-n tower over the given residue field."""
-    return Tower(field, n, constants, prec)
 
 
 def default_tower(p, n, prec=24, max_m=None):

@@ -27,11 +27,9 @@ from .gf import _is_prime
 __all__ = [
     "RamificationFiltration",
     "JumpData",
-    "hilbert_different",
     "lower_to_upper",
     "upper_to_lower",
     "different_from_jumps",
-    "is_weakly_ramified",
 ]
 
 
@@ -234,13 +232,3 @@ def different_from_jumps(p, lower):
     upper = lower_to_upper(p, lower)
     k = len(lower)
     return (1 + upper[-1]) * p**k - (1 + lower[-1])
-
-
-def hilbert_different(filtration):
-    """Module-level alias for RamificationFiltration.hilbert_different."""
-    return filtration.hilbert_different()
-
-
-def is_weakly_ramified(filtration):
-    """Module-level alias for RamificationFiltration.is_weakly_ramified."""
-    return filtration.is_weakly_ramified()

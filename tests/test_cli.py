@@ -253,6 +253,14 @@ def test_field_too_large_for_tables_fails_fast(capsys):
     assert "GF(2^12)" in report["message"]
 
 
+def test_homology_over_a_field_past_1021_elements(capsys):
+    # GF(37^2) has 1369 elements, but its tables fit the byte ceiling
+    status, report = run_json(capsys, "homology", "--p", "37", "--s", "2", "--random",
+                              "--seed", "1")
+    assert status == 0
+    assert report["match"] is True
+
+
 def test_local_weierstrass(capsys):
     status, report = run_json(
         capsys, "local", "weierstrass", "--p", "2",

@@ -7,7 +7,6 @@ from hypothesis import given, settings, strategies as st
 
 from equideform.cover import CoverData
 from equideform.divisors import (
-    ModuleDecomposition,
     OrbitDivisor,
     QuotientDivisor,
     floor_pushforward_closed,
@@ -145,17 +144,6 @@ def test_tot_riemann_roch_counts_dimension_when_unramified_free():
     cover = make_cover(p=5, jumps=(3,))
     d = OrbitDivisor(cover, {"unram:a": 2})  # degree 10 > 6
     assert tot_riemann_roch(d) == 1 + 2  # 1 - g_Y + 2
-
-
-def test_module_decomposition():
-    dec = ModuleDecomposition(5, 1, (1, 0, 1, 0, 1))
-    assert dec.tot == 3
-    assert dec.dim == 1 + 3 + 5
-    assert dec.to_json()["mult"] == [1, 0, 1, 0, 1]
-    with pytest.raises(ValidationError):
-        ModuleDecomposition(5, 1, (1, 0))
-    with pytest.raises(ValidationError):
-        ModuleDecomposition(2, 1, (-1, 2))
 
 
 @settings(max_examples=400, deadline=None)

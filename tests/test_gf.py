@@ -6,9 +6,17 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from equideform.errors import NotPrimeError, ValidationError
-from equideform.gf import FFElem, make_field, matrix_rank, pth_root
 from equideform import kernels
+from equideform.ascurve import ASCurve
+from equideform.errors import NotPrimeError, ValidationError
+from equideform.gf import (
+    _TABLES_MAX_BYTES,
+    FFElem,
+    _is_prime,
+    _table_bytes,
+    make_field,
+    pth_root,
+)
 
 
 def test_make_field_caches():
@@ -131,47 +139,94 @@ def test_elem_immutable_and_hashable():
     assert len({f(2), f(2), f(3)}) == 2
 
 
-def test_matrix_rank_elem_level():
-    f = make_field(2, 2)
-    w = f.gen()
-    rows = [[f.one, w], [w, w * w]]  # second row = w * first row
-    assert matrix_rank(rows) == 1
-    assert matrix_rank([]) == 0
-    rows = [[f.one, f.zero], [f.zero, f.one]]
-    assert matrix_rank(rows) == 2
+def _codes(rows, cols=None):
+    """int64 code matrix of FFElem rows; ``cols`` fixes the width when empty."""
+    if not rows:
+        return np.zeros((0, cols or 0), dtype=np.int64)
+    return np.array([[x.code() for x in row] for row in rows], dtype=np.int64)
+
+
+def _elems(f, codes):
+    return [[f.from_code(c) for c in row] for row in np.asarray(codes).tolist()]
+
+
+def _reference_rank(rows):
+    """Rank by schoolbook Gaussian elimination on FFElem rows."""
+    rows = [list(r) for r in rows]
+    rank = 0
+    for j in range(len(rows[0]) if rows else 0):
+        piv = next((i for i in range(rank, len(rows)) if rows[i][j]), None)
+        if piv is None:
+            continue
+        rows[rank], rows[piv] = rows[piv], rows[rank]
+        top = rows[rank]
+        scale = top[j].inverse()
+        for i in range(rank + 1, len(rows)):
+            factor = rows[i][j] * scale
+            if factor:
+                rows[i] = [x - factor * y for x, y in zip(rows[i], top)]
+        rank += 1
+    return rank
+
+
+def _reference_matmul(f, a, b, width):
+    """a @ b by FFElem sums; b has ``width`` columns, also when it has no rows."""
+    return [[sum((x * row[j] for x, row in zip(r, b)), f.zero) for j in range(width)]
+            for r in a]
+
+
+_FIELDS = [(2, 1), (5, 1), (17, 1), (2, 3), (3, 2)]
+
+
+def _sigma_minus_one_powers():
+    """(sigma - 1)^l, l = 1 .. p - 1, on L(2K) of y^5 - y = x^3: sparse unipotent traffic."""
+    curve = ASCurve(5, "x^3")
+    f = curve.field
+    nilp = curve.sigma_matrix(curve.rr_basis(curve.two_k_plus()))
+    np.fill_diagonal(nilp, 0)
+    rows = _elems(f, nilp)
+    power, out = rows, [rows]
+    for _ in range(curve.p - 2):
+        power = _reference_matmul(f, power, rows, len(rows))
+        out.append(power)
+    return f, out
 
 
 def test_code_rank_matches_elem_rank():
-    rng = random.Random(17)
-    for p, m in [(2, 2), (3, 1), (5, 1)]:
+    rng = np.random.default_rng(5)
+    for p, m in _FIELDS:
         f = make_field(p, m)
-        for _ in range(20):
-            n = rng.randrange(1, 6)
-            rows = [[f.sample(rng) for _ in range(n)] for _ in range(n)]
-            codes = np.array([[x.code() for x in row] for row in rows],
-                             dtype=np.int64)
-            assert f.rank(codes) == matrix_rank(rows)
+        shapes = [(int(n), int(n)) for n in rng.integers(1, 9, size=25)]
+        shapes += [(2, 7), (7, 2), (5, 6), (6, 3), (1, 4), (4, 1), (0, 3), (3, 0), (0, 0)]
+        for rows, cols in shapes:
+            codes = rng.integers(0, f.q, size=(rows, cols))
+            # zero out a random set of entries so pivots are often off the diagonal
+            codes[rng.random((rows, cols)) < 0.4] = 0
+            want = _reference_rank(_elems(f, codes))
+            assert f.rank(codes) == want, (f, codes.tolist())
+    f, powers = _sigma_minus_one_powers()
+    for rows in powers:
+        for mat in (rows, [list(c) for c in zip(*rows)]):
+            assert f.rank(_codes(mat)) == _reference_rank(mat)
 
 
 def test_code_matmul_matches_elem_product():
-    f = make_field(3, 2)
     rng = random.Random(23)
-    n = 4
-    a = [[f.sample(rng) for _ in range(n)] for _ in range(n)]
-    b = [[f.sample(rng) for _ in range(n)] for _ in range(n)]
-    want = [
-        [sum((a[i][t] * b[t][j] for t in range(n)), f.zero) for j in range(n)]
-        for i in range(n)
-    ]
-    got = f.matmul(
-        np.array([[x.code() for x in r] for r in a], dtype=np.int64),
-        np.array([[x.code() for x in r] for r in b], dtype=np.int64),
-    )
-    assert got.tolist() == [[x.code() for x in r] for r in want]
+    for p, m in _FIELDS:
+        f = make_field(p, m)
+        for n, k, w in [(4, 4, 4), (3, 5, 2), (1, 6, 1), (6, 1, 5), (0, 3, 2), (2, 0, 3)]:
+            a = [[f.sample(rng) for _ in range(k)] for _ in range(n)]
+            b = [[f.sample(rng) for _ in range(w)] for _ in range(k)]
+            got = f.matmul(_codes(a, k), _codes(b, w))
+            assert got.shape == (n, w)
+            assert got.tolist() == _codes(_reference_matmul(f, a, b, w), w).tolist()
+    with pytest.raises(ValueError, match="do not chain"):
+        make_field(5).matmul(np.zeros((2, 3), dtype=np.int64), np.zeros((2, 3), dtype=np.int64))
 
 
 def test_kernel_paths_agree():
-    # the jit build and the pure-numpy fallback are the same function
+    # the table kernels, called on raw codes, agree with FFElem arithmetic
+    # and leave their inputs untouched
     rng = np.random.default_rng(5)
     f = make_field(5, 1)
     add, mul, neg, inv = f.tables()
@@ -179,22 +234,26 @@ def test_kernel_paths_agree():
         n = int(rng.integers(1, 9))
         a = rng.integers(0, f.q, size=(n, n)).astype(np.int64)
         b = rng.integers(0, f.q, size=(n, n)).astype(np.int64)
-        assert kernels.rank_py(a, add, mul, neg, inv) == kernels.rank(
-            a, add, mul, neg, inv
-        )
-        assert np.array_equal(
-            kernels.matmul_py(a, b, add, mul), kernels.matmul(a, b, add, mul)
-        )
-    if kernels.HAS_NUMBA:
-        a = rng.integers(0, f.q, size=(7, 7)).astype(np.int64)
-        assert kernels.rank_py(a.copy(), add, mul, neg, inv) == int(
-            kernels.rank_jit(a.copy(), add, mul, neg, inv)
-        )
+        a_before, b_before = a.copy(), b.copy()
+        assert kernels.rank(a, add, mul, neg, inv) == _reference_rank(_elems(f, a))
+        want = _codes(_reference_matmul(f, _elems(f, a), _elems(f, b), n), n)
+        assert np.array_equal(kernels.matmul(a, b, add, mul), want)
+        assert np.array_equal(a, a_before) and np.array_equal(b, b_before)
 
 
 def test_tables_stop_at_the_ceiling():
-    with pytest.raises(ValidationError, match="1021"):
+    with pytest.raises(ValidationError, match="the ceiling is 128 MiB"):
         make_field(2, 10).tables()
+
+
+def test_table_ceiling_is_on_bytes_not_order():
+    # every field up to 1021 elements, and GF(37^2), GF(11^3), fit; GF(2^10) does not
+    fields = [(p, m) for p in range(2, 1022) if _is_prime(p)
+              for m in range(1, 11) if p**m <= 1021]
+    fields += [(37, 2), (11, 3)]
+    for p, m in fields:
+        assert _table_bytes(p**m, m) <= _TABLES_MAX_BYTES, (p, m)
+    assert _table_bytes(2**10, 10) > _TABLES_MAX_BYTES
 
 
 def test_digit_rows_match_element_arithmetic():

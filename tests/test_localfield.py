@@ -17,10 +17,10 @@ from equideform.errors import (
 from equideform.gf import make_field
 from equideform.localfield import (
     LaurentSeriesTrunc,
+    Tower,
     artin_schreier_root,
     as_normalize,
     build_extension,
-    build_tower,
     compose,
     default_tower,
     extract_alpha_beta,
@@ -325,13 +325,13 @@ def test_tower_level_map():
 def test_tower_validation():
     f = make_field(2, 2)
     with pytest.raises(ValidationError):
-        build_tower(f, 0)
+        Tower(f, 0)
     with pytest.raises(ValidationError):
-        build_tower(make_field(2), 2, (1,))  # residue field too small
+        Tower(make_field(2), 2, (1,))  # residue field too small
     with pytest.raises(ValidationError):
-        build_tower(f, 2, ())  # missing constant
+        Tower(f, 2, ())  # missing constant
     with pytest.raises(ValidationError):
-        build_tower(f, 2, (0,))  # zero constant
+        Tower(f, 2, (0,))  # zero constant
     tower = default_tower(2, 2)
     with pytest.raises(ValidationError):
         tower.element([1])

@@ -10,8 +10,6 @@ from equideform.ramification import (
     JumpData,
     RamificationFiltration,
     different_from_jumps,
-    hilbert_different,
-    is_weakly_ramified,
     lower_to_upper,
     upper_to_lower,
 )
@@ -55,12 +53,6 @@ def test_two_step_cyclic_filtration():
     assert f.hilbert_different() == 2 * 3 + 4 * 1 == 10
     assert f.jump_data().upper == (1, 3)
     assert different_from_jumps(2, (1, 5)) == (1 + 3) * 4 - (1 + 5) == 10
-
-
-def test_module_level_aliases():
-    f = RamificationFiltration.from_lower_jumps(2, (1,))
-    assert hilbert_different(f) == f.hilbert_different()
-    assert is_weakly_ramified(f)
 
 
 def test_segment_validation():
