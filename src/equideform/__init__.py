@@ -33,7 +33,7 @@ from .divisors import (
     pullback,
     tot_riemann_roch,
 )
-from .errors import EquideformError, PreconditionError, ValidationError
+from .errors import EquideformError, InternalError, PreconditionError, ValidationError
 from .formulas import (
     DimensionReport,
     HomologyDims,
@@ -87,6 +87,7 @@ __all__ = [
     "FFElem",
     "FiniteField",
     "HomologyDims",
+    "InternalError",
     "JordanDecomposition",
     "JumpData",
     "LaurentSeriesTrunc",

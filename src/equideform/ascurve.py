@@ -15,6 +15,12 @@ is verified on every call.  The sigma-action is binomial expansion of
 (y + 1)^b, so ranks of powers of (sigma - 1) give the Jordan block
 structure of any such L(D) as a k[G]-module; those numbers are what the
 closed-form dimension formulas are tested against.
+
+sigma sends x^a y^b into the span of the x^a y^b', so sigma - 1 is
+block-diagonal up to a permutation, with blocks of size at most p, and
+most blocks repeat.  ``decompose`` reads the blocks off the nonzero
+pattern of the matrix itself (not off the monomial bookkeeping) and
+ranks the powers of each distinct block once.
 """
 
 import math
@@ -125,6 +131,35 @@ class JordanDecomposition:
             "tot": self.tot,
             "free": self.is_free,
         }
+
+
+def _diagonal_blocks(mat):
+    """Index sets of the diagonal blocks of a square matrix, up to permutation.
+
+    These are the connected components of the graph with an edge i -- j for
+    every nonzero entry (i, j), each as an ascending index array, ordered by
+    smallest index.  Labels start as the indices; every round hooks the
+    label of each endpoint to the smaller label across the edge, then
+    pointer jumping makes every label a root, until no edge joins two labels.
+    """
+    rows, cols = np.nonzero(mat)
+    label = np.arange(mat.shape[0])
+    while True:
+        low = np.minimum(label[rows], label[cols])
+        hooked = label.copy()
+        np.minimum.at(hooked, label[rows], low)
+        np.minimum.at(hooked, label[cols], low)
+        while True:
+            jumped = hooked[hooked]
+            if np.array_equal(jumped, hooked):
+                break
+            hooked = jumped
+        if np.array_equal(hooked, label):
+            break
+        label = hooked
+    order = np.argsort(label, kind="stable")
+    cuts = np.flatnonzero(np.diff(label[order])) + 1
+    return np.split(order, cuts)
 
 
 def _side_key(point):
@@ -333,24 +368,39 @@ class ASCurve:
         return mat
 
     def decompose(self, divisor):
-        """Jordan decomposition of L(D) under sigma; needs genus >= 2."""
+        """Jordan decomposition of L(D) under sigma; needs genus >= 2.
+
+        rank((sigma - 1)^l) is the sum over the diagonal blocks of
+        sigma - 1 of rank(B^l), so each distinct block's powers are ranked
+        once and weighted by how often the block occurs.
+        """
         if self.genus < 2:
             raise GenusTooSmallError(
                 "genus %d < 2; decomposition formulas need g >= 2" % self.genus
             )
         basis = self.rr_basis(divisor)
-        mat = self.sigma_matrix(basis)
         dim = len(basis)
         # sigma fixes each monomial up to lower y-degree terms, so its
         # diagonal is 1 and sigma - 1 is the same matrix with diagonal zeroed
-        nilp = mat.copy()
+        nilp = self.sigma_matrix(basis)
         np.fill_diagonal(nilp, 0)
-        # ranks of (sigma - 1)^l for l = 0 .. p; the p-th power is the last
-        ranks = [dim, self.field.rank(nilp)]
-        power = nilp
-        for _ in range(self.p - 1):
-            power = self.field.matmul(power, nilp)
-            ranks.append(self.field.rank(power))
+        blocks, counts = {}, {}
+        for idx in _diagonal_blocks(nilp):
+            block = nilp[np.ix_(idx, idx)]
+            key = (idx.size, block.tobytes())
+            blocks[key] = block
+            counts[key] = counts.get(key, 0) + 1
+        # ranks of (sigma - 1)^l for l = 0 .. p; a zero power ends its block
+        ranks = [dim] + [0] * self.p
+        for key, block in blocks.items():
+            count = counts[key]
+            power = block
+            for l in range(1, self.p + 1):
+                r = self.field.rank(power)
+                if r == 0:
+                    break
+                ranks[l] += count * r
+                power = self.field.matmul(power, block)
         ext = ranks + [0]
         mult = tuple(
             ext[l - 1] - 2 * ext[l] + ext[l + 1] for l in range(1, self.p + 1)

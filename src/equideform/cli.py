@@ -12,7 +12,9 @@ crosscheck  run every formula/oracle pair for one curve and report matches
 All reports are JSON on stdout (``--format table`` renders the same data
 as aligned key/value rows).  Exit codes: 0 success, 1 for malformed input
 or a failed crosscheck, 2 when a mathematical hypothesis of the requested
-operation fails; in the error case the payload names the hypothesis.
+operation fails (the payload names the hypothesis), 3 when an internal
+cross-check disagrees or any other exception escapes: a bug, reported as
+a JSON error payload rather than a traceback.
 
 Randomized inputs always require an explicit ``--seed``.
 """
@@ -30,7 +32,7 @@ from .cover import CoverData
 from .divisors import OrbitDivisor, floor_pushforward_closed, tot_riemann_roch
 from .errors import (
     ConsistencyError,
-    EquideformError,
+    InternalError,
     PreconditionError,
     ValidationError,
 )
@@ -629,13 +631,19 @@ def main(argv=None):
             if args.what == "tower" and args.constants is not None and args.m < args.rank:
                 raise ValidationError("explicit constants need --m >= --rank")
         report, kind, status = args.func(args)
+        _emit(report, kind, fmt)
     except ValidationError as exc:
         _emit(exc.payload(), "error", fmt)
         return 1
     except PreconditionError as exc:
         _emit(exc.payload(), "error", fmt)
         return 2
-    _emit(report, kind, fmt)
+    except InternalError as exc:
+        _emit(exc.payload(), "error", fmt)
+        return 3
+    except Exception as exc:
+        _emit({"error": type(exc).__name__, "message": str(exc)}, "error", fmt)
+        return 3
     return status
 
 

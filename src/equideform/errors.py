@@ -1,6 +1,6 @@
 """Exception taxonomy.
 
-Two families matter to callers (and to the CLI exit-code contract):
+Three families matter to callers (and to the CLI exit-code contract):
 
 * :class:`ValidationError` -- the input data itself is malformed or violates a
   construction invariant (bad JSON, non-prime characteristic, a filtration
@@ -10,10 +10,15 @@ Two families matter to callers (and to the CLI exit-code contract):
   degree too small, a point not weakly ramified, ...).  CLI exit code 2.
   Each subclass carries a short ``hypothesis`` string naming the violated
   assumption; it is surfaced in error payloads.
+* :class:`InternalError` -- two computations inside the package that must
+  agree do not (a closed form against its complex, a monomial count against
+  Riemann-Roch, a basis that the group action leaves).  This is a bug in the
+  package, not in the caller's data.  CLI exit code 3, which the CLI also
+  uses for any exception outside this taxonomy.
 
 Engine-level failures (precision exhausted, an iteration that stops making
-progress) are grouped under :class:`PreconditionError` as well: they signal
-that the caller asked for more than the supplied data supports.
+progress) are grouped under :class:`PreconditionError`: they signal that
+the caller asked for more than the supplied data supports.
 """
 
 
@@ -36,6 +41,10 @@ class ValidationError(EquideformError):
 
 class PreconditionError(EquideformError):
     """A mathematical hypothesis of the requested operation fails."""
+
+
+class InternalError(EquideformError):
+    """Two computations inside the package disagree: a bug, not bad input."""
 
 
 # ---------------------------------------------------------------------------
@@ -134,13 +143,17 @@ class NotRamifiedHereError(PreconditionError):
     hypothesis = "the chosen point is ramified"
 
 
-class DimensionMismatchError(PreconditionError):
+# ---------------------------------------------------------------------------
+# internal errors
+
+
+class DimensionMismatchError(InternalError):
     hypothesis = "monomial count matches the Riemann-Roch dimension"
 
 
-class BasisNotStableError(PreconditionError):
+class BasisNotStableError(InternalError):
     hypothesis = "the monomial basis is stable under the group action"
 
 
-class ConsistencyError(PreconditionError):
+class ConsistencyError(InternalError):
     hypothesis = "internal cross-check"

@@ -11,9 +11,8 @@ built once per field by :mod:`equideform.gf`:
 * ``inv[i]``     -- code of the multiplicative inverse (``inv[0] = 0``).
 
 :func:`rank` and :func:`matmul` are vectorised numpy: each step works on a
-whole row or column through table lookups, and skips zero entries, which
-keeps the sparse matrices of the curve oracle cheap.  Both are exact and
-deterministic.
+whole row or column through table lookups, and skips zero entries.  Both
+are exact and deterministic.
 
 Row reduction pivots on the first nonzero entry of each column, so the
 echelon walk itself is reproducible, and the resulting rank is of course

@@ -2,9 +2,10 @@
 
 import math
 
+import numpy as np
 import pytest
 
-from equideform.ascurve import ASCurve, JordanDecomposition, parse_laurent
+from equideform.ascurve import ASCurve, JordanDecomposition, _diagonal_blocks, parse_laurent
 from equideform.divisors import OrbitDivisor
 from equideform.errors import (
     BasisNotStableError,
@@ -198,23 +199,136 @@ def test_decompose_free_for_augmented_weakly_member():
     assert dec.tot == 3
 
 
-def test_decompose_takes_p_minus_one_products(monkeypatch):
+def test_decompose_ranks_blocks_of_at_most_p(monkeypatch):
     from equideform import kernels
 
-    calls = []
-    matmul = kernels.matmul
+    shapes, products = [], []
+    rank, matmul = kernels.rank, kernels.matmul
 
-    def counting(*args):
-        calls.append(1)
-        return matmul(*args)
+    def ranking(a, *tables):
+        shapes.append(a.shape)
+        return rank(a, *tables)
 
-    monkeypatch.setattr(kernels, "matmul", counting)
-    for p, f in ((2, "x^5"), (5, "x^3"), (7, "x^-9")):
+    def multiplying(a, b, *tables):
+        shapes.extend((a.shape, b.shape))
+        products.append(1)
+        return matmul(a, b, *tables)
+
+    monkeypatch.setattr(kernels, "rank", ranking)
+    monkeypatch.setattr(kernels, "matmul", multiplying)
+    for p, f in ((2, "x^5"), (5, "x^3"), (7, "x^-9"), (17, "x^40")):
         curve = ASCurve(p, f)
-        calls.clear()
+        shapes.clear()
+        products.clear()
         dec = curve.decompose(curve.two_k_plus())
-        assert len(calls) == p - 1
+        assert shapes and max(max(s) for s in shapes) <= p
+        assert len(products) <= (p - 1) * p
         assert len(dec.ranks) == p + 1 and dec.ranks[-1] == 0
+
+
+def _rank_mod_p(mat, p):
+    """Rank over GF(p) by plain row reduction, without the package kernels."""
+    a = np.array(mat, dtype=np.int64) % p
+    r = 0
+    for j in range(a.shape[1]):
+        nz = np.flatnonzero(a[r:, j])
+        if nz.size == 0:
+            continue
+        a[[r, r + nz[0]]] = a[[r + nz[0], r]]
+        a[r] = a[r] * pow(int(a[r, j]), -1, p) % p
+        below = a[r + 1 :, j].copy()
+        a[r + 1 :] = (a[r + 1 :] - below[:, None] * a[r]) % p
+        r += 1
+        if r == a.shape[0]:
+            break
+    return r
+
+
+@pytest.mark.parametrize(
+    "p, f",
+    [
+        (2, "x^5"), (2, "x^3 + x^-1"),
+        (3, "2*x^4"), (3, "x^2 + 2*x^-1"),
+        (5, "x^3"), (5, "3*x + x^-2"),
+        (7, "x^-9"), (7, "x^2 + 4*x^-3"),
+        (11, "x^3"), (11, "x + 5*x^-2"),
+        (13, "6*x^-4"), (13, "x + x^-1"),
+    ],
+)
+def test_decompose_matches_dense_powers(p, f):
+    curve = ASCurve(p, f)
+    for extra in (0, 3):
+        dec = curve.decompose(curve.two_k_plus(extra))
+        nilp = curve.sigma_matrix(curve.rr_basis(curve.two_k_plus(extra)))
+        np.fill_diagonal(nilp, 0)
+        power = np.eye(dec.dim, dtype=np.int64)
+        dense = []
+        for _ in range(p + 1):
+            dense.append(_rank_mod_p(power, p))
+            power = power @ nilp % p
+        assert dec.ranks == tuple(dense)
+
+
+def _partition(blocks):
+    return {frozenset(b.tolist()) for b in blocks}
+
+
+def _check_blocks(blocks, n):
+    assert sorted(i for b in blocks for i in b.tolist()) == list(range(n))
+    assert all(np.all(np.diff(b) > 0) for b in blocks)
+    assert [b[0] for b in blocks] == sorted(b[0] for b in blocks)
+
+
+def test_diagonal_blocks_of_a_permuted_block_matrix():
+    rng = np.random.default_rng(11)
+    sizes = rng.integers(1, 9, size=40)
+    n = int(sizes.sum())
+    mat = np.zeros((n, n), dtype=np.int64)
+    groups, start = [], 0
+    for size in sizes:
+        idx = np.arange(start, start + size)
+        # a random spanning path keeps the block connected, extra entries fill it
+        walk = rng.permutation(idx)
+        mat[walk[:-1], walk[1:]] = rng.integers(1, 7, size=size - 1)
+        sub = mat[np.ix_(idx, idx)]
+        sub[rng.random((size, size)) < 0.3] = 5
+        mat[np.ix_(idx, idx)] = sub
+        groups.append(idx)
+        start += size
+    perm = rng.permutation(n)
+    where = np.argsort(perm)  # old index i sits at where[i] after permuting
+    permuted = mat[np.ix_(perm, perm)]
+    blocks = _diagonal_blocks(permuted)
+    _check_blocks(blocks, n)
+    assert _partition(blocks) == _partition([where[g] for g in groups])
+
+
+def test_diagonal_blocks_follow_a_long_path():
+    rng = np.random.default_rng(7)
+    n = 300
+    for order in (np.arange(n)[::-1], rng.permutation(n)):
+        mat = np.zeros((n, n), dtype=np.int64)
+        mat[order[:-1], order[1:]] = 1
+        blocks = _diagonal_blocks(mat)
+        assert len(blocks) == 1 and blocks[0].tolist() == list(range(n))
+
+
+def test_diagonal_blocks_keep_zero_rows_and_columns_apart():
+    mat = np.zeros((7, 7), dtype=np.int64)
+    mat[1, 4] = 3
+    mat[4, 6] = 2
+    mat[5, 5] = 1
+    blocks = _diagonal_blocks(mat)
+    _check_blocks(blocks, 7)
+    assert [b.tolist() for b in blocks] == [[0], [1, 4, 6], [2], [3], [5]]
+    assert [b.tolist() for b in _diagonal_blocks(np.zeros((3, 3)))] == [[0], [1], [2]]
+
+
+def test_diagonal_blocks_of_one_dense_block():
+    rng = np.random.default_rng(3)
+    mat = rng.integers(1, 5, size=(12, 12))
+    blocks = _diagonal_blocks(mat)
+    assert len(blocks) == 1 and blocks[0].tolist() == list(range(12))
 
 
 def test_decompose_needs_genus_two():

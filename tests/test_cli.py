@@ -337,3 +337,57 @@ def test_table_format_for_lists(capsys):
                       "--format", "table")
     assert status == 0
     assert "crosschecks.0.name" in out
+
+
+def test_homology_disagreement_is_internal_exits_3(capsys, monkeypatch):
+    from equideform import cli
+
+    monkeypatch.setattr(cli, "homology_dims", lambda ab: (7, 0))
+    status, report = run_json(
+        capsys, "homology", "--p", "5", "--s", "1", "--alpha", "1", "--beta", "0"
+    )
+    assert status == 3
+    jsonschema.validate(report, REPORT_SCHEMAS["error"])
+    assert report["error"] == "ConsistencyError"
+    assert report["hypothesis"] == "internal cross-check"
+
+
+def test_unstable_basis_is_internal_exits_3(capsys, monkeypatch):
+    from equideform.ascurve import ASCurve
+
+    rr_basis = ASCurve.rr_basis
+    # dropping the constant leaves the images of the y^b outside the span
+    monkeypatch.setattr(ASCurve, "rr_basis", lambda self, d: rr_basis(self, d)[1:])
+    status, report = run_json(capsys, "oracle", "--p", "5", "--f", "x^3")
+    assert status == 3
+    jsonschema.validate(report, REPORT_SCHEMAS["error"])
+    assert report["error"] == "BasisNotStableError"
+
+
+def test_unexpected_exception_is_a_payload_not_a_traceback(capsys, monkeypatch):
+    from equideform.ascurve import ASCurve
+
+    def broken(self, divisor):
+        raise ZeroDivisionError("planted")
+
+    monkeypatch.setattr(ASCurve, "decompose", broken)
+    status, report = run_json(capsys, "oracle", "--p", "5", "--f", "x^3")
+    assert status == 3
+    jsonschema.validate(report, REPORT_SCHEMAS["error"])
+    assert report == {"error": "ZeroDivisionError", "message": "planted"}
+    status, out = run(capsys, "crosscheck", "--p", "5", "--f", "x^3", "--format", "table")
+    assert status == 3
+    assert "Traceback" not in out and "ZeroDivisionError" in out
+
+
+def test_internal_errors_are_not_hypothesis_failures():
+    from equideform.errors import (
+        BasisNotStableError,
+        ConsistencyError,
+        DimensionMismatchError,
+        InternalError,
+        PreconditionError,
+    )
+
+    for cls in (BasisNotStableError, ConsistencyError, DimensionMismatchError):
+        assert issubclass(cls, InternalError) and not issubclass(cls, PreconditionError)
