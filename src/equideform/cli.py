@@ -24,8 +24,6 @@ import json
 import random
 import sys
 
-import jsonschema
-
 from . import formulas
 from .ascurve import ASCurve
 from .cover import CoverData
@@ -36,7 +34,7 @@ from .errors import (
     PreconditionError,
     ValidationError,
 )
-from .gf import make_field
+from .gf import _check_table_size, _is_prime, make_field
 from .homology import AlphaBeta, closed_form, homology_dims, random_alpha_beta
 from .localfield import (
     Tower,
@@ -198,6 +196,50 @@ REPORT_SCHEMAS = {
 }
 
 
+# the report validator: exactly the JSON Schema keywords the schemas above use
+
+_JSON_TYPES = {
+    "object": lambda v: isinstance(v, dict),
+    "array": lambda v: isinstance(v, list),
+    "string": lambda v: isinstance(v, str),
+    "boolean": lambda v: isinstance(v, bool),
+    # as in JSON Schema, 2.0 is an integer and true is not
+    "integer": lambda v: (isinstance(v, int) and not isinstance(v, bool))
+    or (isinstance(v, float) and v.is_integer()),
+}
+
+_KEYWORDS = {"type", "required", "properties", "items", "minItems", "maxItems"}
+
+
+def _validate(value, schema, where="report"):
+    """Raise InternalError unless ``value`` fits ``schema``.
+
+    Any keyword outside ``_KEYWORDS`` is an error too, so a schema can never
+    carry a constraint that goes unchecked.
+    """
+    unknown = sorted(set(schema) - _KEYWORDS)
+    if unknown or schema.get("type", "object") not in _JSON_TYPES:
+        raise InternalError("unsupported schema at %s: %r" % (where, schema))
+    if "type" in schema and not _JSON_TYPES[schema["type"]](value):
+        raise InternalError("%s is not of type %s: %r" % (where, schema["type"], value))
+    if isinstance(value, dict):
+        for key in schema.get("required", ()):
+            if key not in value:
+                raise InternalError("%s lacks the required key %r" % (where, key))
+        for key, sub in schema.get("properties", {}).items():
+            if key in value:
+                _validate(value[key], sub, "%s.%s" % (where, key))
+    elif isinstance(value, list):
+        low, high = schema.get("minItems", 0), schema.get("maxItems", len(value))
+        if not low <= len(value) <= high:
+            raise InternalError(
+                "%s has %d items, outside [%d, %d]" % (where, len(value), low, high)
+            )
+        if "items" in schema:
+            for i, item in enumerate(value):
+                _validate(item, schema["items"], "%s[%d]" % (where, i))
+
+
 # ---------------------------------------------------------------------------
 # small helpers
 
@@ -282,7 +324,7 @@ def _flatten(obj, prefix=""):
 
 
 def _emit(report, kind, fmt):
-    jsonschema.validate(report, REPORT_SCHEMAS[kind])
+    _validate(report, REPORT_SCHEMAS[kind])
     if fmt == "table":
         rows = _flatten(report)
         width = max(len(k) for k, _ in rows)
@@ -321,6 +363,11 @@ def _cmd_tot(args):
 
 
 def _cmd_homology(args):
+    # refuse a field too large for tables before make_field, whose
+    # irreducibility test takes time exponential in the degree; a composite
+    # p is left to make_field's NotPrimeError
+    if _is_prime(args.p):
+        _check_table_size(args.p, args.m or args.s)
     if args.random:
         if args.seed is None:
             raise ValidationError("--random requires an explicit --seed")

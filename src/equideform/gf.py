@@ -16,9 +16,10 @@ degrees here are tiny).  ``pth_root`` inverts Frobenius via
 
 The code-level ``rank``/``matmul`` methods used by the heavier modules
 run on integer code matrices through :mod:`equideform.kernels`.  Those
-kernels take q x q lookup tables, which are built on first use and only
-while they fit a fixed memory ceiling; series arithmetic works on base-p
-digits and needs none.
+kernels take q x q lookup tables, which are built on first use, from
+discrete logarithms to a primitive element, and only while they fit a
+fixed memory ceiling; series arithmetic works on base-p digits and needs
+none.
 """
 
 import functools
@@ -149,18 +150,42 @@ def _lowest_modulus(p, m):
             return tuple(f)
 
 
-# Ceiling on the lookup tables, in bytes of _table_bytes(q, m).  A build
-# holds the add and mul tables and the (2m-1)-slot product convolution,
-# q*q*(2m+1) int64 in all; its temporaries take the measured peak to about
-# twice that.  Peak RSS growth of one build (numpy 2.4, x86-64): GF(1021)
-# 32 MB, GF(3^6) 102 MB, GF(37^2) 129 MB, GF(11^3) 176 MB, GF(1999) 122 MB,
-# GF(2^10) 329 MB and GF(47^2) 336 MB.  128 MiB admits every q <= 1021 and
-# the first five, keeps a build under about 260 MB, and refuses the last two.
+# Ceiling on the lookup tables, in bytes of _table_bytes(q, m) = 8 q^2 (2m+1).
+# That counts the add and mul tables plus the (2m-1)-slot product
+# convolution an earlier build held; the build from discrete logarithms
+# keeps only add and mul (2 q^2 int64) and one q x q temporary, but the
+# measure stays so that the same fields are admitted.  Peak RSS growth of
+# one build (numpy 2.4, x86-64): GF(2^8) 2 MB, GF(1021) 24 MB, GF(3^6)
+# 16 MB, GF(11^3) 54 MB, GF(37^2) 57 MB and GF(1999) 92 MB.  128 MiB admits
+# every q <= 1021 and those fields, and refuses GF(2^10) and GF(47^2).
 _TABLES_MAX_BYTES = 128 * 2**20
 
 
 def _table_bytes(q, m):
     return 8 * q * q * (2 * m + 1)
+
+
+def _field_name(p, m):
+    return "GF(%d)" % p if m == 1 else "GF(%d^%d)" % (p, m)
+
+
+def _check_table_size(p, m):
+    """Raise ValidationError when GF(p^m) is too large for lookup tables.
+
+    Cheap for any p and m, so callers can check before building the field.
+    """
+    if m * (p.bit_length() - 1) >= 64:
+        # q >= 2^64, so the tables need more than 2^131 bytes; p^m itself
+        # could have millions of digits
+        need = "over 2^111"
+    elif _table_bytes(p**m, m) > _TABLES_MAX_BYTES:
+        need = "%d" % (_table_bytes(p**m, m) >> 20)
+    else:
+        return
+    raise ValidationError(
+        "%s needs %s MiB of lookup tables; the ceiling is %d MiB"
+        % (_field_name(p, m), need, _TABLES_MAX_BYTES >> 20)
+    )
 
 
 class FiniteField:
@@ -192,15 +217,6 @@ class FiniteField:
         if isinstance(value, int):
             return FFElem(self, (value % self.p,) + (0,) * (self.m - 1))
         raise TypeError("cannot coerce %r into GF(%d^%d)" % (value, self.p, self.m))
-
-    def elem(self, coeffs):
-        """Element with the given coefficient vector (length m)."""
-        coeffs = tuple(int(c) % self.p for c in coeffs)
-        if len(coeffs) != self.m:
-            raise ValueError(
-                "expected %d coefficients, got %d" % (self.m, len(coeffs))
-            )
-        return FFElem(self, coeffs)
 
     def from_code(self, code):
         """Element whose coefficient vector is the base-p digits of ``code``."""
@@ -238,12 +254,7 @@ class FiniteField:
     def tables(self):
         """(add, mul, neg, inv) lookup tables on element codes."""
         if self._tables is None:
-            need = _table_bytes(self.q, self.m)
-            if need > _TABLES_MAX_BYTES:
-                raise ValidationError(
-                    "%r needs %d MiB of lookup tables; the ceiling is %d MiB"
-                    % (self, need >> 20, _TABLES_MAX_BYTES >> 20)
-                )
+            _check_table_size(self.p, self.m)
             self._tables = self._build_tables()
         return self._tables
 
@@ -269,31 +280,54 @@ class FiniteField:
         x = self.gen()
         return np.array([(x ** (k * self.p)).coeffs for k in range(self.m)], dtype=np.int64)
 
+    def _primitive_element(self):
+        """The lowest-coded element that generates the multiplicative group."""
+        exponents = [(self.q - 1) // r for r in _prime_factors(self.q - 1)]
+        for code in range(1, self.q):
+            g = self.from_code(code)
+            if all(g**e != self.one for e in exponents):
+                return g
+        raise AssertionError("no primitive element")  # pragma: no cover
+
     def _build_tables(self):
+        # discrete logarithms to a primitive element g: row k of `powers`
+        # holds the digits of g^k, and multiplying by g^n is the F_p-linear
+        # map `step` on digits, so each pass doubles the rows known
         p, m, q = self.p, self.m, self.q
         pvec = p ** np.arange(m, dtype=np.int64)
+        g = self._primitive_element()
+        x = self.gen()
+        step = np.array([(x**i * g).coeffs for i in range(m)], dtype=np.int64)
+        powers = np.zeros((q - 1, m), dtype=np.int64)
+        powers[0, 0] = 1
+        n = 1
+        while n < q - 1:
+            k = min(n, q - 1 - n)
+            powers[n : n + k] = powers[:k] @ step % p
+            step = step @ step % p
+            n += k
+        exp = powers @ pvec
+        log = np.zeros(q, dtype=np.int64)
+        log[exp] = np.arange(q - 1)
+
+        # log[i] + log[j] < 2(q - 1), so a doubled exp needs no reduction
+        mul = np.concatenate([exp, exp])[np.add.outer(log, log)]
+        mul[0, :] = 0
+        mul[:, 0] = 0
+        inv = exp[-log % (q - 1)]
+        inv[0] = 0
+
+        # add and neg one digit at a time, so no q x q x m temporary
+        add = np.zeros((q, q), dtype=np.int64)
+        neg = np.zeros(q, dtype=np.int64)
         codes = np.arange(q, dtype=np.int64)
-        digits = np.empty((q, m), dtype=np.int64)
-        rest = codes.copy()
         for k in range(m):
-            digits[:, k] = rest % p
-            rest //= p
-
-        add = ((digits[:, None, :] + digits[None, :, :]) % p) @ pvec
-        neg = ((-digits) % p) @ pvec
-
-        conv = np.zeros((q, q, 2 * m - 1), dtype=np.int64)
-        for i in range(m):
-            for j in range(m):
-                conv[:, :, i + j] += digits[:, None, i] * digits[None, :, j]
-        low = conv[:, :, :m]
-        if m > 1:
-            low = low + conv[:, :, m:] @ self.reduction_rows
-        mul = (low % p) @ pvec
-
-        inv = np.zeros(q, dtype=np.int64)
-        for code in range(1, q):
-            inv[code] = (self.from_code(code) ** (q - 2)).code()
+            digit = codes // pvec[k] % p
+            term = np.add.outer(digit, digit)
+            term %= p
+            term *= pvec[k]
+            add += term
+            neg += (-digit) % p * pvec[k]
         return add, mul, neg, inv
 
     def rank(self, codes):
@@ -312,9 +346,7 @@ class FiniteField:
     # -- misc ----------------------------------------------------------------
 
     def __repr__(self):
-        if self.m == 1:
-            return "GF(%d)" % self.p
-        return "GF(%d^%d)" % (self.p, self.m)
+        return _field_name(self.p, self.m)
 
     def __reduce__(self):
         return (make_field, (self.p, self.m))

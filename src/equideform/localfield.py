@@ -70,6 +70,15 @@ def _box(field, row):
     return FFElem(field, tuple(row.tolist()))
 
 
+# Cap on the digits (coefficients times m) of one series window: 2^24
+# int64, 128 MiB.  Windows grow as p^2 (about 10 p^2 for f = x in
+# crosscheck).  The largest window of the test suite holds 950 digits and that of
+# the benchmark workloads 20574 (crosscheck over GF(13)), 815 times below
+# the cap; crosscheck --p 1009 --f x reaches 1.03e7 and still runs, while
+# --p 1000003 would need 7e12 and is refused.
+_MAX_DIGITS = 2**24
+
+
 def _check_int64(field, terms):
     """Raise rather than wrap when sums of terms * m digit products can reach 2^63."""
     if terms * field.m * (field.p - 1) ** 2 >= 2**63:
@@ -78,11 +87,21 @@ def _check_int64(field, terms):
         )
 
 
+def _check_size(field, rows):
+    """Raise rather than allocate a series window of more than _MAX_DIGITS digits."""
+    if rows * field.m > _MAX_DIGITS:
+        raise ValidationError(
+            "a series window of %d coefficients over %r exceeds the cap of %d digits"
+            % (rows, field, _MAX_DIGITS)
+        )
+
+
 def _product(field, a, b, n):
     """First n coefficients of the product of two digit windows."""
     p, m = field.p, field.m
     a, b = a[:n], b[:n]
     _check_int64(field, min(len(a), len(b)))
+    _check_size(field, n)
     # Kronecker packing: coefficient i fills slots i*w .. i*w + m - 1, and
     # x^u x^v with u + v <= 2m - 2 stays inside its block of w slots
     w = 2 * m - 1
@@ -317,6 +336,7 @@ class LaurentSeriesTrunc:
         field = self.field
         p = field.p
         _check_int64(field, 1)
+        _check_size(field, p * len(self.digits))
         out = np.zeros((p * len(self.digits), field.m), dtype=np.int64)
         # Frobenius fixes GF(p); on GF(p^m) it is F_p-linear on the digits
         out[::p] = self.digits @ field.frobenius_rows % p
@@ -391,6 +411,7 @@ def series(field, terms, prec):
             )
         coeffs[e] = c
     lo = min(coeffs, default=prec)
+    _check_size(field, prec - lo)
     out = np.zeros((prec - lo, field.m), dtype=np.int64)
     for e, c in coeffs.items():
         out[e - lo] = c.coeffs

@@ -2,12 +2,17 @@
 
 import io
 import json
+import os
+import subprocess
+import sys
 import time
 
 import jsonschema
 import pytest
 
-from equideform.cli import REPORT_SCHEMAS, main
+import equideform
+from equideform.cli import _JSON_TYPES, _KEYWORDS, REPORT_SCHEMAS, _validate, main
+from equideform.errors import InternalError
 
 COVER_53 = {
     "p": 5,
@@ -253,6 +258,43 @@ def test_field_too_large_for_tables_fails_fast(capsys):
     assert "GF(2^12)" in report["message"]
 
 
+def _run_python(code, *argv):
+    src = os.path.dirname(os.path.dirname(equideform.__file__))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
+    return subprocess.run(
+        [sys.executable, "-c", code, *argv],
+        capture_output=True, text=True, timeout=60, env=env,
+    )
+
+
+_MAIN = "import sys; from equideform.cli import main; sys.exit(main(sys.argv[1:]))"
+
+
+def test_huge_homology_field_is_refused_before_it_is_built():
+    # make_field would run Rabin's test with a 2^100000 exponent
+    out = _run_python(_MAIN, "homology", "--p", "2", "--s", "100000", "--random",
+                      "--seed", "1")
+    assert out.returncode == 1, out.stderr
+    report = json.loads(out.stdout)
+    assert report["error"] == "ValidationError"
+    assert report["message"].startswith("GF(2^100000) needs over 2^111 MiB")
+
+    # with --m given, the field degree is --m, not --s
+    out = _run_python(_MAIN, "homology", "--p", "2", "--s", "3", "--m", "100000",
+                      "--random", "--seed", "1")
+    assert out.returncode == 1, out.stderr
+    assert json.loads(out.stdout)["message"].startswith("GF(2^100000) needs")
+
+
+def test_series_too_long_to_allocate_is_refused(capsys):
+    # the Frobenius of a window that grows with p would take 50.9 TiB
+    status, report = run_json(capsys, "crosscheck", "--p", "1000003", "--f", "x")
+    assert status == 1
+    assert report["error"] == "ValidationError"
+    assert "exceeds the cap" in report["message"]
+
+
 def test_homology_over_a_field_past_1021_elements(capsys):
     # GF(37^2) has 1369 elements, but its tables fit the byte ceiling
     status, report = run_json(capsys, "homology", "--p", "37", "--s", "2", "--random",
@@ -391,3 +433,127 @@ def test_internal_errors_are_not_hypothesis_failures():
 
     for cls in (BasisNotStableError, ConsistencyError, DimensionMismatchError):
         assert issubclass(cls, InternalError) and not issubclass(cls, PreconditionError)
+
+
+# -- the report validator against jsonschema ----------------------------------
+
+
+def _reports(capsys, cover_path, divisor_path):
+    runs = {
+        "dim": ["dim", "--case", "cyclic", cover_path],
+        "tot": ["tot", cover_path, divisor_path],
+        "homology": ["homology", "--p", "3", "--s", "2", "--random", "--seed", "1"],
+        "local.normalize": ["local", "normalize", "--p", "3", "--series=-3:1,-2:1"],
+        "local.jump": ["local", "jump", "--p", "5", "--series=-3:1"],
+        "local.tower": ["local", "tower", "--p", "2", "--rank", "2", "--prec", "10"],
+        "local.weierstrass": ["local", "weierstrass", "--p", "2", "--pole-numbers",
+                              "0,4,5,8", "--bound", "8"],
+        "oracle": ["oracle", "--p", "5", "--f", "x + x^-1"],
+        "crosscheck": ["crosscheck", "--p", "3", "--f", "x^4"],
+        "error": ["dim", "--case", "weakly", cover_path],
+    }
+    assert sorted(runs) == sorted(REPORT_SCHEMAS)
+    out = {}
+    for kind, argv in runs.items():
+        status, out[kind] = run_json(capsys, *argv)
+        assert status == (2 if kind == "error" else 0), (kind, out[kind])
+    return out
+
+
+_WRONG = ["text", 7, True, 2.5, [], {}, None]
+
+
+def _mutations(value, schema):
+    """(what, changed value) pairs, each one change at one node the schema describes."""
+    kind = schema.get("type")
+    for bad in _WRONG + ([2.0] if kind == "integer" else []):
+        yield "%s as %r" % (kind, bad), bad
+    if isinstance(value, dict):
+        for key in schema.get("required", ()):
+            yield "drop %s" % key, {k: v for k, v in value.items() if k != key}
+        for key, sub in schema.get("properties", {}).items():
+            if key in value:
+                for what, bad in _mutations(value[key], sub):
+                    yield "%s: %s" % (key, what), dict(value, **{key: bad})
+    elif isinstance(value, list):
+        filler = value[0] if value else 0
+        if "minItems" in schema:
+            yield "minItems", value[: schema["minItems"] - 1]
+        if "maxItems" in schema:
+            yield "maxItems", value + [filler] * (schema["maxItems"] + 1 - len(value))
+        if "items" in schema:
+            for bad in _WRONG:
+                yield "item %r" % (bad,), value + [bad]
+            if value:
+                for what, bad in _mutations(value[0], schema["items"]):
+                    yield "[0]: %s" % what, [bad] + value[1:]
+
+
+def _fits(value, schema):
+    try:
+        _validate(value, schema)
+    except InternalError:
+        return False
+    return True
+
+
+def test_validator_agrees_with_jsonschema(capsys, cover_path, divisor_path):
+    outcomes = set()
+    for kind, report in _reports(capsys, cover_path, divisor_path).items():
+        schema = REPORT_SCHEMAS[kind]
+        reference = jsonschema.validators.validator_for(schema)(schema)
+        assert _fits(report, schema) and reference.is_valid(report), kind
+        cases = list(_mutations(report, schema))
+        disagree = [what for what, bad in cases if _fits(bad, schema) != reference.is_valid(bad)]
+        assert not disagree, (kind, disagree)
+        outcomes |= {(what.split(": ")[-1], _fits(bad, schema)) for what, bad in cases}
+    # each kind of change was made, and the checks went both ways
+    for what, fits in [("integer as True", False), ("integer as 2.0", True),
+                       ("drop message", False), ("minItems", False), ("maxItems", False),
+                       ("item 'text'", False), ("boolean as 7", False)]:
+        assert (what, fits) in outcomes, what
+
+
+def _schema_nodes(schema):
+    yield schema
+    for sub in schema.get("properties", {}).values():
+        yield from _schema_nodes(sub)
+    if "items" in schema:
+        yield from _schema_nodes(schema["items"])
+
+
+def test_schemas_use_only_the_validated_keywords():
+    for kind, schema in REPORT_SCHEMAS.items():
+        jsonschema.validators.validator_for(schema).check_schema(schema)
+        for node in _schema_nodes(schema):
+            assert set(node) <= _KEYWORDS, (kind, node)
+            assert node.get("type", "object") in _JSON_TYPES, (kind, node)
+
+
+def test_validator_refuses_unsupported_keywords():
+    for schema in ({"type": "integer", "minimum": 0}, {"type": "number"}, {"enum": [1]},
+                   {"type": "array", "items": {"const": 1}}):
+        with pytest.raises(InternalError, match="unsupported schema"):
+            _validate([1], schema)
+
+
+def test_report_failing_its_schema_exits_3(capsys, cover_path, monkeypatch):
+    from equideform import cli
+
+    bad = {"value": True, "formula": "cyclic", "inputs": {}}
+    monkeypatch.setattr(cli, "_cmd_dim", lambda args: (bad, "dim", 0))
+    status, report = run_json(capsys, "dim", "--case", "cyclic", cover_path)
+    assert status == 3
+    assert report["error"] == "InternalError"
+    assert "report.value is not of type integer" in report["message"]
+
+
+def test_cli_runs_without_jsonschema(cover_path):
+    blocked = "import sys; sys.modules['jsonschema'] = None; " + _MAIN[len("import sys; "):]
+    for argv in (["dim", "--case", "cyclic", cover_path],
+                 ["homology", "--p", "3", "--s", "2", "--random", "--seed", "1"]):
+        out = _run_python(blocked, *argv)
+        assert out.returncode == 0, out.stderr
+        assert json.loads(out.stdout)
+    out = _run_python("import sys, equideform.cli; print('jsonschema' in sys.modules)")
+    assert out.stdout.strip() == "False", out.stderr

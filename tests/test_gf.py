@@ -241,6 +241,42 @@ def test_kernel_paths_agree():
         assert np.array_equal(a, a_before) and np.array_equal(b, b_before)
 
 
+def _assert_tables_match(f, pairs):
+    add, mul, neg, inv = f.tables()
+    for i, j in pairs:
+        a, b = f.from_code(i), f.from_code(j)
+        assert add[i, j] == (a + b).code(), (f, i, j)
+        assert mul[i, j] == (a * b).code(), (f, i, j)
+    for i in range(f.q):
+        a = f.from_code(i)
+        assert neg[i] == (-a).code()
+        assert inv[i] == (a.inverse().code() if i else 0)
+
+
+def test_tables_match_element_arithmetic_exhaustively():
+    # GF(2^8) and GF(5^2) are fields whose x is not primitive, so the
+    # discrete logarithms cannot be taken to x there
+    for p, m in ((2, 1), (2, 3), (3, 2), (5, 2), (2, 8)):
+        f = make_field(p, m)
+        add, mul, _, _ = f.tables()
+        # both tables are symmetric, so the upper triangle covers every pair
+        assert np.array_equal(add, add.T) and np.array_equal(mul, mul.T)
+        _assert_tables_match(f, [(i, j) for i in range(f.q) for j in range(i, f.q)])
+    for p, m in ((2, 8), (5, 2)):
+        f = make_field(p, m)
+        x, power, order = f.gen(), f.gen(), 1
+        while power != f.one:
+            power, order = power * x, order + 1
+        assert order < f.q - 1, (f, order)
+
+
+def test_tables_match_element_arithmetic_on_samples():
+    rng = random.Random(11)
+    for p, m in ((1021, 1), (3, 6)):
+        f = make_field(p, m)
+        _assert_tables_match(f, [(rng.randrange(f.q), rng.randrange(f.q)) for _ in range(2000)])
+
+
 def test_tables_stop_at_the_ceiling():
     with pytest.raises(ValidationError, match="the ceiling is 128 MiB"):
         make_field(2, 10).tables()
