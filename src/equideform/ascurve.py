@@ -49,6 +49,13 @@ __all__ = [
     "parse_laurent",
 ]
 
+# Cap on dim L(D): sigma_matrix fills a dense dim x dim int64 matrix, and
+# 4096^2 int64 is 128 MiB, the budget of the field tables and of a series
+# window.  The largest L(D) of the test suite and of the benchmark
+# workloads has dim 936 (L(2K + 3 R_red) for p = 17, f = x^40), 4.4 times
+# below the cap; oracle --p 1000003 --f x^3 would need dim 3e6 (65 TiB).
+_MAX_DIM = 4096
+
 _TERM_RE = re.compile(
     r"^\s*(?P<coeff>\d+)?\s*\*?\s*(?P<var>x)?\s*(?:\^\s*(?P<exp>-?\d+))?\s*$"
 )
@@ -323,7 +330,8 @@ class ASCurve:
         """Monomial basis x^a y^b of L(D), D supported on the ramified points.
 
         Requires deg D > 2g - 2 (or D = 0); the count is checked against
-        Riemann-Roch and a mismatch is a hard error.
+        Riemann-Roch and a mismatch is a hard error.  A Riemann-Roch count
+        above _MAX_DIM is refused before any monomial is listed.
         """
         coeffs = {key: divisor.coeff(key) for key in range(self.r)}
         n_at = {side: coeffs[i] for i, side in enumerate(self.sides)}
@@ -336,12 +344,16 @@ class ASCurve:
             raise DegreeTooSmallError(
                 "deg D = %d is not above 2g - 2 = %d" % (deg, 2 * self.genus - 2)
             )
+        expected = deg + 1 - self.genus
+        if expected > _MAX_DIM:
+            raise ValidationError(
+                "L(D) has dimension %d; the cap is %d" % (expected, _MAX_DIM)
+            )
         basis = []
         for b in range(self.p):
             a_min, a_max = self._monomial_range(b, n_at)
             for a in range(a_min, a_max + 1):
                 basis.append((a, b))
-        expected = deg + 1 - self.genus
         if len(basis) != expected:
             raise DimensionMismatchError(
                 "monomial count %d != Riemann-Roch dimension %d for deg %d"
@@ -419,30 +431,16 @@ class ASCurve:
             )
         side = _side_key(point)
         n_here = self.pole_order(side)
+        # u^a y^b, with u = x at infinity and u = 1/x at 0, has a pole of
+        # order p a + n_here b here and none over the other side's pole
+        # while p a >= n_other b
+        n_other = self.n_zero if side == "inf" else self.n_inf
         out = set()
         for b in range(self.p):
-            if side == "inf":
-                if self.n_zero:
-                    a_min = -(-(self.n_zero * b) // self.p)
-                else:
-                    a_min = 0
-                a = a_min
-                while self.p * a + n_here * b <= bound:
-                    value = self.p * a + n_here * b
-                    if value >= 0:
-                        out.add(value)
-                    a += 1
-            else:
-                if self.n_inf:
-                    a_min = -(-(self.n_inf * b) // self.p)
-                else:
-                    a_min = 0
-                a = a_min
-                while self.p * a + n_here * b <= bound:
-                    value = self.p * a + n_here * b
-                    if value >= 0:
-                        out.add(value)
-                    a += 1
+            a = -(-(n_other * b) // self.p)
+            while self.p * a + n_here * b <= bound:
+                out.add(self.p * a + n_here * b)
+                a += 1
         return sorted(out)
 
     def __repr__(self):

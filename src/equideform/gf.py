@@ -33,14 +33,40 @@ from .errors import NotPrimeError, ValidationError
 __all__ = ["FiniteField", "FFElem", "make_field", "pth_root"]
 
 
+# Miller-Rabin with the primes up to 37 as bases has no strong pseudoprime
+# below _PRIME_BOUND (Sorenson and Webster, Math. Comp. 86, 2017), so it
+# decides primality exactly there
+_PRIME_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+_PRIME_BOUND = 318665857834031151167461
+
+
 def _is_prime(n):
+    """Exact primality of n; ValidationError for a probable prime >= _PRIME_BOUND."""
     if n < 2:
         return False
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            return False
-        d += 1
+    for b in _PRIME_BASES:
+        if n % b == 0:
+            return n == b
+    if n < 41 * 41:
+        return True
+    d, r = n - 1, 0
+    while d % 2 == 0:
+        d //= 2
+        r += 1
+    for b in _PRIME_BASES:
+        x = pow(b, d, n)
+        if x == 1 or x == n - 1:
+            continue
+        for _ in range(r - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False  # b witnesses that n is composite
+    if n >= _PRIME_BOUND:
+        raise ValidationError(
+            "primality of p is only decided below %d; got %d" % (_PRIME_BOUND, n)
+        )
     return True
 
 
@@ -356,7 +382,11 @@ _TOKEN = object()
 
 
 def make_field(p, m=1):
-    """The field GF(p^m).  Raises NotPrimeError for composite p."""
+    """The field GF(p^m).
+
+    Raises NotPrimeError for composite p, and ValidationError for a p at or
+    above _PRIME_BOUND that no base proves composite.
+    """
     # normalize before caching so make_field(p) and make_field(p, 1)
     # return the identical instance
     return _make_field(int(p), int(m))

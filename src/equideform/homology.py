@@ -21,7 +21,11 @@ which holds for *any* choice of beta on the s generators, so
 
 where d1 acts on the i-th summand by g_i - 1, d2 acts on the i-th "norm"
 summand by 1 + g_i + ... + g_i^(p-1) and on the (i, j) summand (i < j) by
-g_j - 1 into slot i and 1 - g_i into slot j.  Then
+g_j - 1 into slot i and 1 - g_i into slot j.  Every block is written
+directly as a code matrix: g_i - 1 is strictly upper triangular with
+entries (2 alpha_i, beta_i, alpha_i), and since x^p - 1 = (x - 1)^p over
+F_p the norm is computed as (g_i - 1)^(p-1), at most two products of 3 x 3
+code matrices because (g_i - 1)^3 = 0.  Then
 
     h0 = 3 - rank d1,    h1 = (3s - rank d1) - rank d2.
 
@@ -36,11 +40,10 @@ import numpy as np
 
 from .errors import AlphaNotInjectiveError, ValidationError
 from .formulas import HomologyDims
-from .gf import FFElem, make_field
+from .gf import make_field
 
 __all__ = [
     "AlphaBeta",
-    "ModuleV",
     "ChainComplex",
     "build_complex",
     "homology_dims",
@@ -76,10 +79,9 @@ class AlphaBeta:
 
     def alpha_injective(self):
         """alpha injective on (Z/p)^s <=> its values F_p-linearly independent."""
-        prime = make_field(self.p, 1)
-        rows = [[prime(c) for c in a.coeffs] for a in self.alpha]
-        codes = np.array([[x.code() for x in row] for row in rows], dtype=np.int64)
-        return prime.rank(codes) == self.s
+        # the digit rows of alpha already are GF(p) codes
+        digits = np.array([a.coeffs for a in self.alpha], dtype=np.int64)
+        return make_field(self.p).rank(digits) == self.s
 
     def beta_multiple_of_alpha(self):
         """Exact linear dependence of (beta_i) on (alpha_i) over k."""
@@ -88,63 +90,6 @@ class AlphaBeta:
                 if self.alpha[i] * self.beta[j] != self.alpha[j] * self.beta[i]:
                     return False
         return True
-
-
-class ModuleV:
-    """The space V with one unipotent 3x3 action matrix per generator."""
-
-    def __init__(self, ab):
-        self.ab = ab
-        self.field = ab.field
-        one, zero = self.field.one, self.field.zero
-        self.matrices = []
-        for a, b in zip(ab.alpha, ab.beta):
-            self.matrices.append(
-                (
-                    (one, 2 * a, b),
-                    (zero, one, a),
-                    (zero, zero, one),
-                )
-            )
-
-    def matrix(self, i):
-        return self.matrices[i]
-
-
-def _codes(mat):
-    return np.array([[x.code() for x in row] for row in mat], dtype=np.int64)
-
-
-def _mat_mul(f, a, b):
-    n = len(a)
-    out = []
-    for i in range(n):
-        row = []
-        for j in range(n):
-            acc = f.zero
-            for t in range(n):
-                acc = acc + a[i][t] * b[t][j]
-            row.append(acc)
-        out.append(tuple(row))
-    return tuple(out)
-
-
-def _mat_add(a, b):
-    return tuple(
-        tuple(x + y for x, y in zip(ra, rb)) for ra, rb in zip(a, b)
-    )
-
-
-def _mat_sub(a, b):
-    return tuple(
-        tuple(x - y for x, y in zip(ra, rb)) for ra, rb in zip(a, b)
-    )
-
-
-def _identity(f, n=3):
-    return tuple(
-        tuple(f.one if i == j else f.zero for j in range(n)) for i in range(n)
-    )
 
 
 @dataclass(frozen=True)
@@ -157,36 +102,39 @@ class ChainComplex:
     d2: np.ndarray
 
 
+def _strictly_upper(entries):
+    """3 x 3 code matrix with entries (0, 1), (0, 2), (1, 2) and zeros elsewhere."""
+    mat = np.zeros((3, 3), dtype=np.int64)
+    mat[(0, 0, 1), (1, 2, 2)] = [x.code() for x in entries]
+    return mat
+
+
 def build_complex(ab):
     """Assemble d1 (3 x 3s) and d2 (3s x 3(s + s(s-1)/2)) for alpha, beta."""
-    v = ModuleV(ab)
     f = ab.field
     s = ab.s
-    ident = _identity(f)
-    gen_minus_1 = [_mat_sub(v.matrix(i), ident) for i in range(s)]
+    entries = [(2 * a, b, a) for a, b in zip(ab.alpha, ab.beta)]
+    gen_minus_1 = [_strictly_upper(e) for e in entries]
+    one_minus_gen = [_strictly_upper([-x for x in e]) for e in entries]
+    # the norm (g - 1)^(p-1); the powers stop at the first zero one
     norms = []
-    for i in range(s):
-        acc = ident
-        power = ident
-        for _ in range(ab.p - 1):
-            power = _mat_mul(f, power, v.matrix(i))
-            acc = _mat_add(acc, power)
-        norms.append(acc)
+    for nil in gen_minus_1:
+        power = nil
+        for _ in range(ab.p - 2):
+            if not power.any():
+                break
+            power = f.matmul(power, nil)
+        norms.append(power)
 
-    d1 = np.zeros((3, 3 * s), dtype=np.int64)
-    for i in range(s):
-        d1[:, 3 * i : 3 * i + 3] = _codes(gen_minus_1[i])
-
+    d1 = np.hstack(gen_minus_1)
     pairs = [(i, j) for i in range(s) for j in range(i + 1, s)]
     d2 = np.zeros((3 * s, 3 * (s + len(pairs))), dtype=np.int64)
     for i in range(s):
-        d2[3 * i : 3 * i + 3, 3 * i : 3 * i + 3] = _codes(norms[i])
+        d2[3 * i : 3 * i + 3, 3 * i : 3 * i + 3] = norms[i]
     for col, (i, j) in enumerate(pairs, start=s):
         block = slice(3 * col, 3 * col + 3)
-        d2[3 * i : 3 * i + 3, block] = _codes(gen_minus_1[j])
-        d2[3 * j : 3 * j + 3, block] = _codes(
-            _mat_sub(ident, v.matrix(i))
-        )
+        d2[3 * i : 3 * i + 3, block] = gen_minus_1[j]
+        d2[3 * j : 3 * j + 3, block] = one_minus_gen[i]
     return ChainComplex(f, s, d1, d2)
 
 

@@ -287,6 +287,29 @@ def test_huge_homology_field_is_refused_before_it_is_built():
     assert json.loads(out.stdout)["message"].startswith("GF(2^100000) needs")
 
 
+def test_large_prime_is_refused_quickly():
+    # p = 2^61 - 1: trial division to sqrt(p) would run for hours
+    for argv in (["homology", "--p", "2305843009213693951", "--s", "1", "--random",
+                  "--seed", "1"],
+                 ["oracle", "--p", "2305843009213693951", "--f", "x^3"]):
+        start = time.perf_counter()
+        out = _run_python(_MAIN, *argv)
+        assert time.perf_counter() - start < 10, argv
+        assert out.returncode == 1, out.stderr
+        assert json.loads(out.stdout)["error"] == "ValidationError", argv
+
+
+def test_oracle_too_large_to_allocate_is_refused(capsys):
+    # sigma on L(2K) would be a dense 3000003 x 3000003 int64 matrix, 65 TiB
+    start = time.perf_counter()
+    status, report = run_json(capsys, "oracle", "--p", "1000003", "--f", "x^3")
+    assert time.perf_counter() - start < 1.0
+    assert status == 1
+    jsonschema.validate(report, REPORT_SCHEMAS["error"])
+    assert report["error"] == "ValidationError"
+    assert report["message"] == "L(D) has dimension 3000003; the cap is 4096"
+
+
 def test_series_too_long_to_allocate_is_refused(capsys):
     # the Frobenius of a window that grows with p would take 50.9 TiB
     status, report = run_json(capsys, "crosscheck", "--p", "1000003", "--f", "x")

@@ -31,6 +31,25 @@ def test_composite_characteristic_rejected():
         make_field(1)
 
 
+def test_primality_is_exact():
+    def trial_division(n):
+        return n >= 2 and all(n % d for d in range(2, int(n**0.5) + 1))
+
+    assert all(_is_prime(n) == trial_division(n) for n in range(-3, 20000))
+    # Carmichael numbers, then strong pseudoprimes to the bases up to 7 and 23
+    for n in (561, 41041, 825265, 3215031751, 3825123056546413051):
+        assert not _is_prime(n), n
+    for p in (2**31 - 1, 1000003, 2**61 - 1, 2**64 - 59):
+        assert _is_prime(p), p
+    # a composite above the bound is still decided
+    assert not _is_prime((2**61 - 1) * (2**31 - 1))
+    # the least composite that passes every base, and a prime above it
+    with pytest.raises(ValidationError, match="318665857834031151167461"):
+        _is_prime(318665857834031151167461)
+    with pytest.raises(ValidationError, match="only decided below"):
+        make_field(2**89 - 1)
+
+
 def test_fixed_lowest_moduli():
     # the modulus is the lowest monic irreducible in base-p code order,
     # so these are pinned forever

@@ -2,6 +2,7 @@
 
 import random
 
+import numpy as np
 import pytest
 
 from equideform.errors import AlphaNotInjectiveError, ValidationError
@@ -9,7 +10,6 @@ from equideform.gf import make_field
 from equideform.homology import (
     AlphaBeta,
     ChainComplex,
-    ModuleV,
     build_complex,
     closed_form,
     homology_dims,
@@ -45,27 +45,67 @@ def test_beta_multiple_of_alpha():
     assert AlphaBeta(f, 2, (f.one, w), (0, 0)).beta_multiple_of_alpha()
 
 
-def test_module_action_is_unipotent_order_p():
-    f = make_field(3)
-    ab = AlphaBeta(f, 1, (f.one,), (f(2),))
-    v = ModuleV(ab)
-    m = v.matrix(0)
-    # cube in the 3x3 unipotent group over F_3 is the identity
-    from equideform.homology import _identity, _mat_mul
+def _generator(ab, i):
+    """Code matrix of g_i: the identity plus the d1 block g_i - 1."""
+    return build_complex(ab).d1[:, 3 * i : 3 * i + 3] + np.eye(3, dtype=np.int64)
 
-    cube = _mat_mul(f, _mat_mul(f, m, m), m)
-    assert cube == _identity(f)
+
+def test_module_action_is_unipotent_order_p():
+    for p, m in [(2, 3), (3, 1), (3, 2), (5, 2), (7, 1)]:
+        f = make_field(p, m)
+        rng = random.Random(p * m)
+        ab = AlphaBeta(f, 1, (f.sample(rng),), (f.sample(rng),))
+        g = _generator(ab, 0)
+        power = g
+        for _ in range(p - 1):
+            power = f.matmul(power, g)
+        assert power.tolist() == np.eye(3, dtype=np.int64).tolist(), (p, m)
 
 
 def test_generators_commute():
-    f = make_field(5, 2)
     rng = random.Random(11)
-    ab = random_alpha_beta(5, 2, rng)
-    v = ModuleV(ab)
-    from equideform.homology import _mat_mul
+    for p, s in [(2, 3), (3, 2), (5, 2), (7, 3)]:
+        ab = random_alpha_beta(p, s, rng)
+        f = ab.field
+        gens = [_generator(ab, i) for i in range(s)]
+        for i in range(s):
+            for j in range(i + 1, s):
+                a, b = gens[i], gens[j]
+                assert f.matmul(a, b).tolist() == f.matmul(b, a).tolist()
 
-    a, b = v.matrix(0), v.matrix(1)
-    assert _mat_mul(f, a, b) == _mat_mul(f, b, a)
+
+def _element_norm(ab, i):
+    """1 + g_i + ... + g_i^(p-1) from field elements, no code matrices."""
+    f = ab.field
+    one, zero = f.one, f.zero
+    a, b = ab.alpha[i], ab.beta[i]
+    g = ((one, 2 * a, b), (zero, one, a), (zero, zero, one))
+    total = [[one if r == c else zero for c in range(3)] for r in range(3)]
+    power = [row[:] for row in total]
+    for _ in range(ab.p - 1):
+        power = [
+            [sum((power[r][t] * g[t][c] for t in range(3)), zero) for c in range(3)]
+            for r in range(3)
+        ]
+        total = [[total[r][c] + power[r][c] for c in range(3)] for r in range(3)]
+    return [[x.code() for x in row] for row in total]
+
+
+def test_norm_blocks_are_sums_of_generator_powers():
+    # d1 d2 = 0 cannot pin the exponent: (g - 1)^k vanishes for every k >= 3
+    cases = [(2, 1), (2, 3), (3, 1), (3, 2), (5, 1), (5, 2), (7, 1), (7, 2), (31, 1), (31, 2)]
+    for p, m in cases:
+        f = make_field(p, m)
+        rng = random.Random(31 * p + m)
+        for s in (1, 2, 3):
+            for _ in range(3):
+                alpha = tuple(f.sample(rng) for _ in range(s))
+                beta = tuple(f.sample(rng) for _ in range(s))
+                ab = AlphaBeta(f, s, alpha, beta)
+                d2 = build_complex(ab).d2
+                for i in range(s):
+                    block = d2[3 * i : 3 * i + 3, 3 * i : 3 * i + 3]
+                    assert block.tolist() == _element_norm(ab, i), (p, m, s, i)
 
 
 def test_complex_shapes():
