@@ -21,110 +21,83 @@ same numbers from first principles:
   monomial Riemann-Roch bases and Jordan decompositions, the
   ground-truth oracle for everything above;
 * :mod:`equideform.cli` -- the ``equideform`` command.
+
+The names in ``__all__`` resolve on first access, each from the submodule
+named in ``_SOURCE``, so ``import equideform`` loads no submodule and a
+caller pays only for the layers it uses.  The closed forms (``formulas``,
+``cover``, ``divisors``, ``ramification``) run without numpy; ``gf``,
+``kernels``, ``homology``, ``localfield`` and ``ascurve`` load it.
 """
 
-from .ascurve import ASCurve, JordanDecomposition, parse_laurent
-from .cover import BranchOrbit, CoverData
-from .divisors import (
-    OrbitDivisor,
-    QuotientDivisor,
-    floor_pushforward_closed,
-    floor_pushforward_iterated,
-    pullback,
-    tot_riemann_roch,
-)
-from .errors import EquideformError, InternalError, PreconditionError, ValidationError
-from .formulas import (
-    DimensionReport,
-    HomologyDims,
-    dim_cyclic,
-    dim_from_nilpotent_part,
-    dim_tame,
-    dim_weakly_ramified,
-    free_rank_aug,
-    hasse_arf_identity_rhs,
-    homology_dims_closed,
-    m_regular_cyclic_p,
-    p_rank_free_rank,
-    regular_multiplicity_nilpotent_part,
-)
-from .gf import FFElem, FiniteField, make_field
-from .homology import (
-    AlphaBeta,
-    ChainComplex,
-    build_complex,
-    closed_form,
-    homology_dims,
-    random_alpha_beta,
-)
-from .localfield import (
-    ASExtension,
-    LaurentSeriesTrunc,
-    SemigroupReport,
-    Tower,
-    as_normalize,
-    build_extension,
-    compose,
-    default_tower,
-    extract_alpha_beta,
-    measure_jump,
-    series,
-    weierstrass_check,
-)
-from .ramification import JumpData, RamificationFiltration, lower_to_upper
+import importlib
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "ASCurve",
-    "ASExtension",
-    "AlphaBeta",
-    "BranchOrbit",
-    "ChainComplex",
-    "CoverData",
-    "DimensionReport",
-    "EquideformError",
-    "FFElem",
-    "FiniteField",
-    "HomologyDims",
-    "InternalError",
-    "JordanDecomposition",
-    "JumpData",
-    "LaurentSeriesTrunc",
-    "OrbitDivisor",
-    "PreconditionError",
-    "QuotientDivisor",
-    "RamificationFiltration",
-    "SemigroupReport",
-    "Tower",
-    "ValidationError",
-    "as_normalize",
-    "build_complex",
-    "build_extension",
-    "closed_form",
-    "compose",
-    "default_tower",
-    "dim_cyclic",
-    "dim_from_nilpotent_part",
-    "dim_tame",
-    "dim_weakly_ramified",
-    "extract_alpha_beta",
-    "floor_pushforward_closed",
-    "floor_pushforward_iterated",
-    "free_rank_aug",
-    "hasse_arf_identity_rhs",
-    "homology_dims",
-    "homology_dims_closed",
-    "lower_to_upper",
-    "m_regular_cyclic_p",
-    "make_field",
-    "measure_jump",
-    "p_rank_free_rank",
-    "parse_laurent",
-    "pullback",
-    "random_alpha_beta",
-    "regular_multiplicity_nilpotent_part",
-    "series",
-    "tot_riemann_roch",
-    "weierstrass_check",
-]
+# each public name and the submodule that defines it
+_SOURCE = {
+    "ASCurve": "ascurve",
+    "JordanDecomposition": "ascurve",
+    "parse_laurent": "ascurve",
+    "BranchOrbit": "cover",
+    "CoverData": "cover",
+    "OrbitDivisor": "divisors",
+    "QuotientDivisor": "divisors",
+    "floor_pushforward_closed": "divisors",
+    "floor_pushforward_iterated": "divisors",
+    "pullback": "divisors",
+    "tot_riemann_roch": "divisors",
+    "EquideformError": "errors",
+    "InternalError": "errors",
+    "PreconditionError": "errors",
+    "ValidationError": "errors",
+    "DimensionReport": "formulas",
+    "HomologyDims": "formulas",
+    "dim_cyclic": "formulas",
+    "dim_from_nilpotent_part": "formulas",
+    "dim_tame": "formulas",
+    "dim_weakly_ramified": "formulas",
+    "free_rank_aug": "formulas",
+    "hasse_arf_identity_rhs": "formulas",
+    "homology_dims_closed": "formulas",
+    "m_regular_cyclic_p": "formulas",
+    "p_rank_free_rank": "formulas",
+    "regular_multiplicity_nilpotent_part": "formulas",
+    "FFElem": "gf",
+    "FiniteField": "gf",
+    "make_field": "gf",
+    "AlphaBeta": "homology",
+    "ChainComplex": "homology",
+    "build_complex": "homology",
+    "closed_form": "homology",
+    "homology_dims": "homology",
+    "random_alpha_beta": "homology",
+    "ASExtension": "localfield",
+    "LaurentSeriesTrunc": "localfield",
+    "SemigroupReport": "localfield",
+    "Tower": "localfield",
+    "as_normalize": "localfield",
+    "build_extension": "localfield",
+    "compose": "localfield",
+    "default_tower": "localfield",
+    "extract_alpha_beta": "localfield",
+    "measure_jump": "localfield",
+    "series": "localfield",
+    "weierstrass_check": "localfield",
+    "JumpData": "ramification",
+    "RamificationFiltration": "ramification",
+    "lower_to_upper": "ramification",
+}
+
+__all__ = sorted(_SOURCE)
+
+
+def __getattr__(name):
+    if name not in _SOURCE:
+        raise AttributeError("module %r has no attribute %r" % (__name__, name))
+    value = getattr(importlib.import_module("." + _SOURCE[name], __name__), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__():
+    return sorted(set(globals()) | set(__all__))

@@ -20,31 +20,58 @@ Randomized inputs always require an explicit ``--seed``.
 """
 
 import argparse
+import importlib
 import json
 import random
 import sys
 
-from . import formulas
-from .ascurve import ASCurve
-from .cover import CoverData
-from .divisors import OrbitDivisor, floor_pushforward_closed, tot_riemann_roch
 from .errors import (
     ConsistencyError,
     InternalError,
     PreconditionError,
     ValidationError,
 )
-from .gf import _check_table_size, _is_prime, make_field
-from .homology import AlphaBeta, closed_form, homology_dims, random_alpha_beta
-from .localfield import (
-    Tower,
-    as_normalize,
-    build_extension,
-    default_tower,
-    measure_jump,
-    series,
-    weierstrass_check,
-)
+
+# Each subcommand loads only the layers it runs, so `dim` and `tot` start
+# without numpy and `local` without the cover and formula layers.  _load
+# binds a layer's module and the names listed for it, and keeps a name
+# already bound, so a patched one stays; the module __getattr__ does the
+# same for code outside that reads or patches cli.<name>.
+_LAZY = {
+    "ascurve": ("ASCurve",),
+    "cover": ("CoverData",),
+    "divisors": ("OrbitDivisor", "floor_pushforward_closed", "tot_riemann_roch"),
+    "formulas": (),
+    "gf": ("_check_table_size", "make_field"),
+    "homology": ("AlphaBeta", "closed_form", "homology_dims", "random_alpha_beta"),
+    "localfield": (
+        "Tower",
+        "as_normalize",
+        "build_extension",
+        "default_tower",
+        "measure_jump",
+        "series",
+        "weierstrass_check",
+    ),
+    "primes": ("_is_prime",),
+}
+
+
+def _load(*modules):
+    for module in modules:
+        source = importlib.import_module("." + module, __package__)
+        globals().setdefault(module, source)
+        for name in _LAZY[module]:
+            globals().setdefault(name, getattr(source, name))
+
+
+def __getattr__(name):
+    for module, names in _LAZY.items():
+        if name == module or name in names:
+            _load(module)
+            return globals()[name]
+    raise AttributeError("module %r has no attribute %r" % (__name__, name))
+
 
 __all__ = ["main", "REPORT_SCHEMAS"]
 
@@ -340,6 +367,7 @@ def _emit(report, kind, fmt):
 # subcommands (each returns (report, kind, exit_status))
 
 def _cmd_dim(args):
+    _load("cover", "formulas")
     cover = CoverData.from_json(_load_json(args.cover))
     func = {
         "tame": formulas.dim_tame,
@@ -350,6 +378,7 @@ def _cmd_dim(args):
 
 
 def _cmd_tot(args):
+    _load("cover", "divisors")
     cover = CoverData.from_json(_load_json(args.cover))
     divisor = OrbitDivisor.from_json(cover, _load_json(args.divisor))
     pushed = floor_pushforward_closed(divisor)
@@ -363,6 +392,7 @@ def _cmd_tot(args):
 
 
 def _cmd_homology(args):
+    _load("primes", "gf", "homology")
     # refuse a field too large for tables before make_field, whose
     # irreducibility test takes time exponential in the degree; a composite
     # p is left to make_field's NotPrimeError
@@ -410,6 +440,7 @@ def _cmd_homology(args):
 
 
 def _cmd_local(args):
+    _load("gf", "localfield")
     field = make_field(args.p, args.m)
     if args.what == "normalize":
         x = _parse_series(field, args.series, args.prec)
@@ -510,6 +541,7 @@ def _oracle_checks(curve, name, divisor, dec):
 
 
 def _cmd_oracle(args):
+    _load("formulas", "divisors", "ascurve")
     curve = ASCurve(args.p, args.f)
     divisor = _oracle_divisor(curve, args.divisor)
     dec = curve.decompose(divisor)
@@ -531,6 +563,7 @@ def _cmd_oracle(args):
 
 
 def _cmd_crosscheck(args):
+    _load("formulas", "divisors", "ascurve")
     curve = ASCurve(args.p, args.f)
     cov = curve.cover()
     weakly = all(o.is_weakly_ramified() for o in cov.orbits)

@@ -36,7 +36,7 @@ from .errors import (
     UnramifiedError,
     ValidationError,
 )
-from .gf import _is_prime
+from .primes import _is_prime
 from .ramification import RamificationFiltration
 
 __all__ = ["BranchOrbit", "CoverData"]

@@ -658,16 +658,50 @@ def extract_alpha_beta(gt):
 
 
 @lru_cache(maxsize=None)
+def _artin_schreier_solver(field):
+    """Rows that take the digits of z to those of the root, then a check.
+
+    w -> w^p - w is F_p-linear on digits, and its kernel, the prime field,
+    moves only digit 0.  So every root of w^p - w = z has the same digits
+    1..m-1, the lowest-coded root has digit 0 equal to 0, and those digits
+    solve an m x (m-1) system of full column rank.  Row-reducing it with the
+    identity carried along leaves rows whose product with z gives digits
+    1..m-1 of the root and, last, a value that is zero exactly when a root
+    exists.
+    """
+    p, m = field.p, field.m
+    images = []
+    for k in range(1, m):
+        b = field.from_code(p**k)
+        images.append((b**p - b).coeffs)
+    rows = [[image[i] for image in images] + [int(i == j) for j in range(m)]
+            for i in range(m)]
+    for c in range(m - 1):
+        pivot = next(i for i in range(c, m) if rows[i][c])
+        rows[c], rows[pivot] = rows[pivot], rows[c]
+        inv = pow(rows[c][c], -1, p)
+        rows[c] = [v * inv % p for v in rows[c]]
+        for i in range(m):
+            if i != c and rows[i][c]:
+                f = rows[i][c]
+                rows[i] = [(a - f * b) % p for a, b in zip(rows[i], rows[c])]
+    return tuple(tuple(row[m - 1:]) for row in rows)
+
+
+@lru_cache(maxsize=None)
 def artin_schreier_root(field, z):
-    """Some w with w^p - w = z, if one exists in the field."""
+    """The lowest-coded w with w^p - w = z, if one exists in the field."""
     z = field(z)
-    for w in field.elements():
-        if w ** field.p - w == z:
-            return w
-    raise MissingRootError(
-        "w^%d - w = %s has no root in GF(%d^%d); the trace of %s is nonzero"
-        % (field.p, z, field.p, field.m, z)
-    )
+    digits = [
+        sum(a * b for a, b in zip(row, z.coeffs)) % field.p
+        for row in _artin_schreier_solver(field)
+    ]
+    if digits[-1]:
+        raise MissingRootError(
+            "w^%d - w = %s has no root in GF(%d^%d); the trace of %s is nonzero"
+            % (field.p, z, field.p, field.m, z)
+        )
+    return FFElem(field, (0,) + tuple(digits[:-1]))
 
 
 class TowerElement:
@@ -859,6 +893,19 @@ class Tower:
         return True
 
 
+def _nonzero_tuples(field, k):
+    """The k-tuples of nonzero elements in itertools.product order, lazily.
+
+    The first tuple comes at once, however large the field.
+    """
+    if k == 0:
+        yield ()
+        return
+    for head in range(1, field.q):
+        for tail in _nonzero_tuples(field, k - 1):
+            yield (field.from_code(head),) + tail
+
+
 def default_tower(p, n, prec=24, max_m=None):
     """Deterministic search for a residue field and constants that work.
 
@@ -869,8 +916,7 @@ def default_tower(p, n, prec=24, max_m=None):
     top_m = (n + 4) if max_m is None else max_m
     for m in range(n, top_m + 1):
         field = make_field(p, m)
-        nonzero = [e for e in field.elements() if e != field.zero]
-        for constants in itertools.product(nonzero, repeat=n - 1):
+        for constants in _nonzero_tuples(field, n - 1):
             try:
                 return Tower(field, n, constants, prec)
             except MissingRootError:

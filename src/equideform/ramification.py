@@ -22,7 +22,7 @@ from dataclasses import dataclass
 from functools import cached_property
 
 from .errors import FiltrationError, NotHasseArfError
-from .gf import _is_prime
+from .primes import _is_prime
 
 __all__ = [
     "RamificationFiltration",

@@ -61,14 +61,18 @@ def test_public_definitions_are_exported(name):
 
 
 def test_package_exports_only_submodule_exports():
-    exported = set()
+    # dir() and getattr, not vars(): the package binds a name on first access
+    exports = {}
     for name in MODULES[1:]:
         module = importlib.import_module(name)
-        exported |= set(getattr(module, "__all__", _public_definitions(module)))
-    assert set(equideform.__all__) <= exported
+        for n in getattr(module, "__all__", _public_definitions(module)):
+            exports.setdefault(n, []).append(getattr(module, n))
+    assert set(equideform.__all__) <= set(exports)
+    for n in equideform.__all__:
+        assert any(getattr(equideform, n) is obj for obj in exports[n]), n
     public = {
-        n for n, obj in vars(equideform).items()
-        if not n.startswith("_") and not isinstance(obj, types.ModuleType)
+        n for n in dir(equideform)
+        if not n.startswith("_") and not isinstance(getattr(equideform, n), types.ModuleType)
     }
     assert public == set(equideform.__all__)
 

@@ -299,6 +299,30 @@ def test_large_prime_is_refused_quickly():
         assert json.loads(out.stdout)["error"] == "ValidationError", argv
 
 
+def test_local_field_past_the_order_ceiling_is_refused_quickly():
+    # finding the modulus of GF(2^96) took 4.3 s, and of GF(2^200) far longer
+    for m in ("200", "100000"):
+        start = time.perf_counter()
+        out = _run_python(_MAIN, "local", "jump", "--p", "2", "--m", m, "--series=-3:1")
+        assert time.perf_counter() - start < 10, m
+        assert out.returncode == 1, out.stderr
+        assert json.loads(out.stdout) == {
+            "error": "ValidationError",
+            "message": "GF(2^%s) has more than 2^32 elements, the ceiling for "
+            "extension fields" % m,
+        }
+
+
+def test_tower_over_a_huge_prime_is_refused_quickly():
+    # every nonzero constant of GF(2^61 - 1) was listed before the first try
+    for extra in ([], ["--rank", "2"]):
+        start = time.perf_counter()
+        out = _run_python(_MAIN, "local", "tower", "--p", "2305843009213693951", *extra)
+        assert time.perf_counter() - start < 10, extra
+        assert out.returncode == 1, out.stderr
+        assert json.loads(out.stdout)["error"] == "ValidationError", extra
+
+
 def test_oracle_too_large_to_allocate_is_refused(capsys):
     # sigma on L(2K) would be a dense 3000003 x 3000003 int64 matrix, 65 TiB
     start = time.perf_counter()
@@ -580,3 +604,27 @@ def test_cli_runs_without_jsonschema(cover_path):
         assert json.loads(out.stdout)
     out = _run_python("import sys, equideform.cli; print('jsonschema' in sys.modules)")
     assert out.stdout.strip() == "False", out.stderr
+
+
+_RUN_MODULE = (
+    "import runpy; runpy.run_module('equideform.cli', run_name='__main__', alter_sys=True)"
+)
+
+
+def test_dim_and_tot_run_without_numpy(cover_path, divisor_path):
+    # python -m equideform.cli, with and without numpy importable
+    blocked = "import sys; sys.modules['numpy'] = None; " + _RUN_MODULE
+    for argv in (["dim", "--case", "cyclic", cover_path], ["tot", cover_path, divisor_path]):
+        plain = _run_python(_RUN_MODULE, *argv)
+        out = _run_python(blocked, *argv)
+        assert plain.returncode == 0, plain.stderr
+        assert out.returncode == 0, out.stderr
+        assert out.stdout == plain.stdout
+        assert json.loads(out.stdout)
+
+
+def test_importing_the_package_loads_no_submodule():
+    out = _run_python(
+        "import sys, equideform; print([m for m in sys.modules if m.startswith('equideform.')])"
+    )
+    assert out.stdout.strip() == "[]", out.stderr

@@ -10,13 +10,14 @@ from equideform import kernels
 from equideform.ascurve import ASCurve
 from equideform.errors import NotPrimeError, ValidationError
 from equideform.gf import (
+    _FIELD_MAX_ORDER,
     _TABLES_MAX_BYTES,
     FFElem,
-    _is_prime,
     _table_bytes,
     make_field,
     pth_root,
 )
+from equideform.primes import _is_prime
 
 
 def test_make_field_caches():
@@ -48,6 +49,17 @@ def test_primality_is_exact():
         _is_prime(318665857834031151167461)
     with pytest.raises(ValidationError, match="only decided below"):
         make_field(2**89 - 1)
+
+
+def test_extension_fields_past_the_order_ceiling_are_refused():
+    # finding the modulus of GF(2^96) took seconds; a prime field needs none
+    assert _FIELD_MAX_ORDER == 2**32
+    for p, m in ((2, 33), (65537, 2), (2, 10**9), (2**61 - 1, 2)):
+        with pytest.raises(ValidationError, match="more than 2\\^32 elements"):
+            make_field(p, m)
+    assert make_field(2**61 - 1).q == 2**61 - 1
+    with pytest.raises(NotPrimeError):
+        make_field(4, 100)
 
 
 def test_fixed_lowest_moduli():

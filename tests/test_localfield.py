@@ -279,6 +279,19 @@ def test_artin_schreier_root():
         artin_schreier_root(F2, F2.one)
 
 
+@pytest.mark.parametrize("p, m", [(2, 1), (2, 3), (2, 4), (3, 1), (3, 3), (5, 2), (7, 2)])
+def test_artin_schreier_root_is_the_lowest_coded_root(p, m):
+    # the towers that default_tower finds depend on which root is returned
+    f = make_field(p, m)
+    for z in f.elements():
+        roots = [w for w in f.elements() if w ** p - w == z]
+        if roots:
+            assert artin_schreier_root(f, z) == roots[0]
+        else:
+            with pytest.raises(MissingRootError):
+                artin_schreier_root(f, z)
+
+
 def test_tower_rank_one():
     tower = default_tower(2, 1, prec=12)
     g = tower.generators[0]
