@@ -20,6 +20,7 @@ Randomized inputs always require an explicit ``--seed``.
 """
 
 import argparse
+import functools
 import importlib
 import json
 import random
@@ -626,7 +627,9 @@ def _positive_int(text):
     return value
 
 
+@functools.lru_cache(maxsize=None)
 def _build_parser():
+    """The argument parser, built once per process: parsing leaves it unchanged."""
     parser = _Parser(
         prog="equideform",
         description="Exact dimension formulas for wild p-group curve actions, "
@@ -644,13 +647,11 @@ def _build_parser():
     sp.add_argument("cover", help="cover JSON path, or - for stdin")
     sp.add_argument("--case", choices=("tame", "cyclic", "weakly"), required=True)
     common(sp)
-    sp.set_defaults(func=_cmd_dim)
 
     sp = sub.add_parser("tot", help="summand count of H^0(O(D)) from cover + divisor JSON")
     sp.add_argument("cover", help="cover JSON path, or - for stdin")
     sp.add_argument("divisor", help="divisor JSON path")
     common(sp)
-    sp.set_defaults(func=_cmd_tot)
 
     sp = sub.add_parser("homology", help="punctual-section homology, complex vs closed form")
     sp.add_argument("--p", type=int, required=True)
@@ -661,7 +662,6 @@ def _build_parser():
     sp.add_argument("--random", action="store_true", help="sample alpha/beta (needs --seed)")
     sp.add_argument("--seed", type=int, default=None)
     common(sp)
-    sp.set_defaults(func=_cmd_homology)
 
     sp = sub.add_parser("local", help="series-level tools")
     sp.add_argument("what", choices=("normalize", "jump", "tower", "weierstrass"))
@@ -675,20 +675,17 @@ def _build_parser():
     sp.add_argument("--pole-numbers", dest="pole_numbers", help="comma list of integers")
     sp.add_argument("--bound", type=int, default=None)
     common(sp)
-    sp.set_defaults(func=_cmd_local)
 
     sp = sub.add_parser("oracle", help="Jordan decomposition of L(D) on y^p - y = f(x)")
     sp.add_argument("--p", type=int, required=True)
     sp.add_argument("--f", required=True, help='Laurent polynomial, e.g. "x^3" or "x + x^-1"')
     sp.add_argument("--divisor", choices=_DIVISOR_CHOICES, default="2K")
     common(sp)
-    sp.set_defaults(func=_cmd_oracle)
 
     sp = sub.add_parser("crosscheck", help="all formula/oracle pairs for one curve")
     sp.add_argument("--p", type=int, required=True)
     sp.add_argument("--f", required=True)
     common(sp)
-    sp.set_defaults(func=_cmd_crosscheck)
 
     return parser
 
@@ -710,7 +707,8 @@ def main(argv=None):
                     raise ValidationError("weierstrass needs --pole-numbers and --bound")
             if args.what == "tower" and args.constants is not None and args.m < args.rank:
                 raise ValidationError("explicit constants need --m >= --rank")
-        report, kind, status = args.func(args)
+        # looked up at call time, so a handler patched onto the module is used
+        report, kind, status = globals()["_cmd_" + args.subcommand](args)
         _emit(report, kind, fmt)
     except ValidationError as exc:
         _emit(exc.payload(), "error", fmt)

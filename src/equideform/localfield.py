@@ -71,16 +71,23 @@ def _box(field, row):
 
 
 # Cap on the digits (coefficients times m) of one series window: 2^24
-# int64, 128 MiB.  Windows grow as p^2 (about 10 p^2 for f = x in
-# crosscheck).  The largest window of the test suite holds 950 digits and that of
-# the benchmark workloads 20574 (crosscheck over GF(13)), 815 times below
-# the cap; crosscheck --p 1009 --f x reaches 1.03e7 and still runs, while
-# --p 1000003 would need 7e12 and is refused.
+# int64, 128 MiB; a product packs each operand into float64 copies of up to
+# twice that per digit chunk (see _product).  Windows grow as p^2 (about
+# 10 p^2 for f = x in crosscheck).  The largest window of the test suite
+# holds 950 digits and that of the benchmark workloads 20574 (crosscheck
+# over GF(13)), 815 times below the cap; crosscheck --p 1009 --f x reaches
+# 1.03e7 and still runs, while --p 1000003 would need 7e12 and is refused.
 _MAX_DIGITS = 2**24
 
 
 def _check_int64(field, terms):
-    """Raise rather than wrap when sums of terms * m digit products can reach 2^63."""
+    """Raise when digit sums of terms * m products could reach 2^63.
+
+    Digits live in int64 arrays: a product recombines its float64 partial
+    sums mod p there, and ``derivative`` and the extension-field reduction
+    multiply two digits in int64.  Over GF(p) this refuses p above about
+    3e9 outright, and p = 2^31 - 1 beyond two terms.
+    """
     if terms * field.m * (field.p - 1) ** 2 >= 2**63:
         raise ValidationError(
             "digit sums of %d products over %r would overflow int64" % (terms, field)
@@ -100,20 +107,37 @@ def _product(field, a, b, n):
     """First n coefficients of the product of two digit windows."""
     p, m = field.p, field.m
     a, b = a[:n], b[:n]
-    _check_int64(field, min(len(a), len(b)))
+    terms = min(len(a), len(b))
+    _check_int64(field, terms)
     _check_size(field, n)
     # Kronecker packing: coefficient i fills slots i*w .. i*w + m - 1, and
     # x^u x^v with u + v <= 2m - 2 stays inside its block of w slots
     w = 2 * m - 1
-    pa = np.zeros((len(a), w), dtype=np.int64)
-    pb = np.zeros((len(b), w), dtype=np.int64)
-    pa[:, :m] = a
-    pb[:, :m] = b
     out = np.zeros(n * w, dtype=np.int64)
-    if len(a) and len(b):
-        conv = np.convolve(pa.ravel(), pb.ravel())[: n * w]
-        out[: len(conv)] = conv
-    out = out.reshape(n, w) % p
+    if terms:
+        # A float64 convolution is exact while every sum it forms, at most
+        # terms * m products of two digits, stays below 2^53.  So split each
+        # digit into base-2^k chunks with terms * m * (2^k - 1)^2 < 2^53 (one
+        # chunk for small p), convolve chunk by chunk, recombine in int64.
+        bits = (p - 1).bit_length()
+        k = min(bits, (math.isqrt((2**53 - 1) // (terms * m)) + 1).bit_length() - 1)
+        chunks = -(-bits // k)
+        pa = np.zeros((chunks, len(a), w))
+        pb = np.zeros((chunks, len(b), w))
+        for c in range(chunks):
+            pa[c, :, :m] = a >> (k * c) & ((1 << k) - 1)
+            pb[c, :, :m] = b >> (k * c) & ((1 << k) - 1)
+        # Horner in 2^k over the chunk weights c + d, highest first; a step
+        # adds at most `chunks` <= 32 sums below 2^53 to a value below
+        # p * 2^k < 2^58 (_check_int64 keeps p below 2^32, and k <= 26 once
+        # there are two chunks), so int64 holds it
+        for e in range(2 * chunks - 2, -1, -1):
+            out <<= k
+            for c in range(max(0, e - chunks + 1), min(e, chunks - 1) + 1):
+                conv = np.convolve(pa[c].ravel(), pb[e - c].ravel())[: n * w]
+                out[: len(conv)] += conv.astype(np.int64)
+            out %= p
+    out = out.reshape(n, w)
     if m == 1:
         return out
     return (out[:, :m] + out[:, m:] @ field.reduction_rows) % p
@@ -443,9 +467,24 @@ def compose(x, s):
     if x.is_zero:
         return zero_series(field, cap)
     span = (s.prec - s.lo) + w * (x.prec - x.lo) + 8
-    acc = _monomial(field, x.coeff(x.prec - 1), 0, span)
-    for k in range(x.prec - 2, x.lo - 1, -1):
-        acc = acc * s + x.coeff(k)
+    # Horner's rule from the top of x's window, visiting only the nonzero
+    # coefficients.  A run of j zero coefficients would multiply acc by s
+    # j times; one product with s^j gives the same window
+    # (lo + jw, min(lo + jw + s.prec - w, prec + jw)) and the same digits,
+    # and a zero acc just gains jw of precision.
+    acc = zero_series(field, span)
+    at = len(x.digits) - 1
+    powers = {}
+    for i in np.flatnonzero(x.digits.any(axis=1))[::-1].tolist():
+        j = at - i
+        if acc.is_zero:
+            acc = zero_series(field, acc.prec + j * w)
+        else:
+            if j not in powers:
+                powers[j] = s ** j
+            acc = acc * powers[j]
+        acc = acc + _box(field, x.digits[i])
+        at = i
     out = acc * (s ** x.lo) if x.lo != 0 else acc
     return out.truncate(min(out.prec, cap))
 
@@ -586,7 +625,13 @@ def build_extension(x, prec):
     stalled = 0
     for _ in range(prec + 64):
         r1 = y.pth_power() - y - compose(x, s)
-        r2 = (s ** r) * (y ** (-l)) - tt
+        # s^(r-1) s and y^(-l-1) y are s^r and y^(-l) with the same
+        # relative precision, so each power is computed once per step
+        s_r1 = s ** (r - 1)
+        s_r = s_r1 * s
+        y_l1 = y ** (-l - 1)
+        y_l = y_l1 * y
+        r2 = s_r * y_l - tt
         cert = min(_certified(r1), _certified(r2))
         if cert >= prec:
             ext = ASExtension(field, m, r, l, x, s, y, prec)
@@ -614,12 +659,12 @@ def build_extension(x, prec):
             stalled = 0
 
         a12 = -compose(dx, s)
-        a21 = field(-l) * ((s ** r) * (y ** (-l - 1)))
-        a22 = field(r) * ((s ** (r - 1)) * (y ** (-l)))
-        det = minus_one * a22 - a12 * a21
+        a21 = field(-l) * (s_r * y_l1)
+        a22 = field(r) * (s_r1 * y_l)
+        det_inv = (minus_one * a22 - a12 * a21).inverse()
         b1, b2 = -r1, -r2
-        dy = (b1 * a22 - b2 * a12) / det
-        ds = (minus_one * b2 - a21 * b1) / det
+        dy = (b1 * a22 - b2 * a12) * det_inv
+        ds = (minus_one * b2 - a21 * b1) * det_inv
         y = y + dy
         s = s + ds
     raise NoConvergenceError("no convergence after %d Newton steps" % (prec + 64))

@@ -106,6 +106,20 @@ def test_unknown_subcommand_exits_1(capsys):
     assert status == 1
 
 
+def test_parser_is_built_once_and_handlers_are_found_per_call(capsys, cover_path, monkeypatch):
+    from equideform import cli
+
+    assert run_json(capsys, "dim", "--case", "cyclic", cover_path)[1]["value"] == 3
+    assert cli._build_parser() is cli._build_parser()
+    patched = {"value": 7, "formula": "patched", "inputs": {}}
+    monkeypatch.setattr(cli, "_cmd_dim", lambda args: (patched, "dim", 0))
+    assert run_json(capsys, "dim", "--case", "cyclic", cover_path) == (0, patched)
+    # the cached parser still turns every usage error into a JSON payload
+    for argv in (["dim", "--case", "sideways", "x.json"], ["frobnicate"], ["dim"]):
+        status, report = run_json(capsys, *argv)
+        assert status == 1 and report["error"] == "ValidationError", argv
+
+
 def test_tot(capsys, cover_path, divisor_path):
     status, report = run_json(capsys, "tot", cover_path, divisor_path)
     assert status == 0

@@ -4,6 +4,8 @@ import random
 
 import pytest
 
+from equideform import localfield
+from equideform.ascurve import ASCurve
 from equideform.errors import (
     ConsistencyError,
     MissingRootError,
@@ -396,10 +398,9 @@ def ref_mul(field, x, y):
     prec = min(x[0] + y[1], y[0] + x[1])
     lo = x[0] + y[0]
     acc = [field.zero] * (prec - lo)
-    for i, a in enumerate(x[2]):
-        for j, b in enumerate(y[2]):
-            if i + j < len(acc):
-                acc[i + j] = acc[i + j] + a * b
+    for i, a in enumerate(x[2][: len(acc)]):
+        for j, b in enumerate(y[2][: len(acc) - i]):
+            acc[i + j] = acc[i + j] + a * b
     return ref_of(field, lo, acc, prec)
 
 
@@ -498,3 +499,83 @@ def test_digit_products_never_wrap():
     for op in (lambda: x * x, x.derivative, x.pth_power):
         with pytest.raises(ValidationError):
             op()
+
+
+@pytest.mark.parametrize("p, m", [(2, 1), (5, 1), (13, 1), (3, 2), (2, 3)])
+def test_sparse_compose_matches_element_reference(p, m):
+    # x shaped like ASCurve._x_series: a pole at lo, at most one more term,
+    # and a long window that is zero almost everywhere
+    field = make_field(p, m)
+    rng = random.Random(100 * p + m)
+
+    def nonzero():
+        c = field.sample(rng)
+        return c if c != field.zero else field.one
+
+    for shape in ("lo only", "lo and one more", "top set", "top only", "top zero"):
+        for _ in range(2):
+            lo = -rng.randrange(1, 30)
+            prec = lo + rng.randrange(30, 121)
+            vals = [field.zero] * (prec - lo)
+            vals[0] = nonzero()
+            if shape == "lo and one more":
+                vals[rng.randrange(1, len(vals) - 1)] = nonzero()
+            if shape in ("top set", "top only"):
+                vals[-1] = nonzero()
+            if shape == "top set":
+                vals[rng.randrange(1, len(vals) - 1)] = nonzero()
+            if shape == "top zero":
+                vals[rng.randrange(1, len(vals) - 2)] = nonzero()
+                vals[-2] = nonzero()
+            x = LaurentSeriesTrunc(field, lo, vals, prec)
+            s, rs = random_series(field, rng, (1, 3), 8)
+            same(compose(x, s), ref_compose(field, (lo, prec, vals), rs))
+
+
+# p - 1 just below 2^23: a middle sum of 128 digit products stays below
+# 2^53, while 129 products (p - 2)^2 pass it with an odd sum that float64
+# cannot hold.  Just above 2^26 one product of digits fits and two do not.
+assert 128 * (8388593 - 1) ** 2 < 2**53 < 129 * (8388593 - 2) ** 2
+assert (67108879 - 1) ** 2 < 2**53 <= 2 * (67108879 - 1) ** 2
+
+
+@pytest.mark.parametrize("p, n", [
+    (8388593, 128), (8388593, 129), (67108879, 1), (67108879, 2), (67108879, 60),
+    (2**31 - 1, 2),
+])
+def test_products_across_the_float64_boundary(p, n):
+    field = make_field(p)
+    rng = random.Random(n)
+    for vals in ([field(-2)] * n, [field(p - 1 - rng.randrange(3)) for _ in range(n)]):
+        a = LaurentSeriesTrunc(field, 0, vals, n)
+        same(a * a, ref_mul(field, (0, n, vals), (0, n, vals)))
+    b, rb = random_series(field, rng, (-2, 2), n)
+    same(a * b, ref_mul(field, (0, n, vals), rb))
+
+
+def _dense_compose(x, s):
+    """The substitution by Horner's rule over every coefficient of x's window."""
+    field = x.field
+    if x.is_zero:
+        return zero_series(field, s.lo * x.prec)
+    span = (s.prec - s.lo) + s.lo * (x.prec - x.lo) + 8
+    acc = series(field, {0: x.coeff(x.prec - 1)}, span)
+    for k in range(x.prec - 2, x.lo - 1, -1):
+        acc = acc * s + x.coeff(k)
+    out = acc * (s ** x.lo) if x.lo != 0 else acc
+    return out.truncate(min(out.prec, s.lo * x.prec))
+
+
+@pytest.mark.parametrize("p, f", [
+    (2, "x^-5"), (2, "x^-3 + x^5"), (3, "2*x^-7"), (3, "x^-4 + 2*x^5"),
+    (5, "x^3"), (5, "x^-3 + 3*x^4"), (13, "7*x^-3"), (13, "x^-2 + 5*x^3"),
+])
+def test_build_extension_is_the_same_with_dense_compose(p, f, monkeypatch):
+    def solved():
+        curve = ASCurve(p, f)  # a fresh curve, so no extension comes from a cache
+        exts = [curve.extension_at(side) for side in curve.sides]
+        return [(z.lo, z.prec, z.digits.tobytes()) for e in exts for z in (e.s_of_t, e.y_of_t)]
+
+    sparse = solved()
+    monkeypatch.setattr(localfield, "compose", _dense_compose)
+    assert solved() == sparse
